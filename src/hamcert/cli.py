@@ -32,6 +32,7 @@ from .conditions import (
     Verdict,
     certify,
     check_nonexistence,
+    ladder_annuli,
 )
 from .constants import compute_table
 from .exprlang import ExprError
@@ -500,7 +501,7 @@ def _cmd_certify(loaded: LoadedProblem, args) -> tuple[int, dict]:
         raise ValueError("the problem file's [check] section must name an existence scenario")
     table = compute_table(loaded.problem)
     policy = HintPolicy(args.hints)
-    n = args.grid if args.grid else check.resolution
+    n = args.grid if args.grid is not None else check.resolution
     cert = certify(loaded.problem, check.scenario, check.ladder, table, policy, n)
     _print_certificate(cert)
     doc = {"command": "certify", "certificate": cert.as_dict()}
@@ -512,7 +513,7 @@ def _cmd_nonexistence(loaded: LoadedProblem, args) -> tuple[int, dict]:
     table = compute_table(problem)
     b1, b2 = loaded.check.nonexistence_box
     box = Box4.sup_box(b1, b2, problem.variant)
-    n = args.grid if args.grid else loaded.check.nonexistence_resolution
+    n = args.grid if args.grid is not None else loaded.check.nonexistence_resolution
     cert = check_nonexistence(problem, table, box, n)
     _print_certificate(cert)
     doc = {"command": "nonexistence", "certificate": cert.as_dict()}
@@ -522,7 +523,7 @@ def _cmd_nonexistence(loaded: LoadedProblem, args) -> tuple[int, dict]:
 def _cmd_solve(loaded: LoadedProblem, args) -> tuple[int, dict]:
     problem = loaded.problem
     cfg = loaded.solver
-    n = args.grid if args.grid else cfg.n
+    n = args.grid if args.grid is not None else cfg.n
     tol = args.tol if args.tol is not None else cfg.tol
     if cfg.init == "bump":
         start = bump_init(problem, n, cfg.scale)
@@ -532,15 +533,11 @@ def _cmd_solve(loaded: LoadedProblem, args) -> tuple[int, dict]:
     cone = cone_membership(result.pair, problem)
     annuli = [
         {
-            "inner": [min(a[0], b[0]), min(a[1], b[1])],
-            "outer": [max(a[0], b[0]), max(a[1], b[1])],
-            "localized": localization_check(
-                result,
-                (min(a[0], b[0]), min(a[1], b[1])),
-                (max(a[0], b[0]), max(a[1], b[1])),
-            ),
+            "inner": list(inner),
+            "outer": list(outer),
+            "localized": localization_check(result, inner, outer),
         }
-        for a, b in zip(loaded.check.ladder, loaded.check.ladder[1:])
+        for inner, outer in ladder_annuli(loaded.check.ladder)
     ]
     status = "converged" if result.converged else "not converged"
     print(f"{status} after {result.iterations} iterations; residual {result.residual:.3e} (n = {n})")
@@ -578,7 +575,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
     found = False
     all_pass = True
     sections = []
-    n_grid = args.grid if args.grid else 2001
+    n_grid = args.grid if args.grid is not None else 2001
     ode_tol = args.tol if args.tol is not None else 1e-4
     for i, params in enumerate(loaded.green_params):
         if params is None:
@@ -637,6 +634,12 @@ _COMMANDS = {
 }
 
 
+def _grid_size(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hamcert",
@@ -647,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("file", help="problem file (schema = 1)")
     parser.add_argument("--out", help="write a machine-readable JSON report here")
     parser.add_argument("--tol", type=float, default=None, help="override the command's tolerance")
-    parser.add_argument("--grid", type=int, default=None, help="override the command's resolution")
+    parser.add_argument("--grid", type=_grid_size, default=None, help="override the command's resolution")
     parser.add_argument("--no-meta", action="store_true", help="omit the metadata block for byte-identical reports")
     parser.add_argument(
         "--hints", choices=[p.value for p in HintPolicy], default="allow",

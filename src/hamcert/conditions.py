@@ -16,6 +16,7 @@ whose gap inequalities are validated exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -24,8 +25,8 @@ import numpy as np
 
 from . import exprlang
 from .constants import ConstantResult, ConstantsTable
-from .model import Component, ConeVariant, SystemProblem
-from .quadopt import box_extremum_with_witness
+from .model import Component, ConeVariant, SystemProblem, nonlinearity
+from .quadopt import box_axes, box_extremum_with_witness, grid_extremum
 
 GRID_ESTIMATE = "grid-estimate"
 USER_HINT = "user-hint"
@@ -237,15 +238,6 @@ class Certificate:
         }
 
 
-def _f_on_grid(comp: Component):
-    f = comp.f
-
-    def fn(t, u1, u2, v1, v2):
-        return exprlang.evaluate(f, {"t": t, "u1": u1, "u2": u2, "v1": v1, "v2": v2})
-
-    return fn
-
-
 def _hint_value(expr, rho1: float, rho2: float) -> float:
     return float(exprlang.evaluate(expr, {"rho1": rho1, "rho2": rho2}))
 
@@ -264,7 +256,7 @@ def _bound(
     n: int,
 ) -> BoundEstimate:
     grid_raw, witness = box_extremum_with_witness(
-        _f_on_grid(comp), (t_window, *box.intervals()), mode=mode, n_per_axis=n
+        nonlinearity(comp), (t_window, *box.intervals()), mode=mode, n_per_axis=n
     )
     grid = grid_raw / normalizer
     if policy is HintPolicy.IGNORE or hint_expr is None:
@@ -391,8 +383,9 @@ def _inf_entry(name: str, est: BoundEstimate, rhs: float, rhs_error: float) -> I
     )
 
 
-def _combine(entries: tuple[InequalityEntry, ...]) -> Verdict:
-    verdicts = {e.verdict for e in entries}
+def _combine(items) -> Verdict:
+    """FAILS if any item fails, HOLDS if all hold, else INCONCLUSIVE."""
+    verdicts = {it.verdict for it in items}
     if Verdict.FAILS in verdicts:
         return Verdict.FAILS
     if verdicts == {Verdict.HOLDS}:
@@ -484,6 +477,17 @@ def _check_ladder(
                 raise LadderViolation(f"gap inequality {gap} violated: {lhs!r} >= {hi!r}")
 
 
+def ladder_annuli(ladder) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
+    """The (inner, outer) radius corners bracketing each consecutive rung pair."""
+    return tuple(
+        (
+            (min(a[0], b[0]), min(a[1], b[1])),
+            (max(a[0], b[0]), max(a[1], b[1])),
+        )
+        for a, b in zip(ladder, ladder[1:])
+    )
+
+
 def certify(
     problem: SystemProblem,
     scenario: Scenario,
@@ -508,14 +512,7 @@ def certify(
         check = check_I1 if kind == "I1" else check_I0
         outcomes.append(check(problem, rho1, rho2, table, policy, n))
     outcomes = tuple(outcomes)
-    verdict = _combine_outcomes(outcomes)
-    annuli = tuple(
-        (
-            (min(a[0], b[0]), min(a[1], b[1])),
-            (max(a[0], b[0]), max(a[1], b[1])),
-        )
-        for a, b in zip(ladder, ladder[1:])
-    )
+    verdict = _combine(outcomes)
     hint_backed = all(
         e.bound_source == USER_HINT for o in outcomes for e in o.entries
     )
@@ -530,19 +527,10 @@ def certify(
         solution_count=len(ladder) - 1,
         verdict=verdict,
         outcomes=outcomes,
-        annuli=annuli,
+        annuli=ladder_annuli(ladder),
         rigorous=hint_backed and verdict is Verdict.HOLDS,
         note=note,
     )
-
-
-def _combine_outcomes(outcomes) -> Verdict:
-    verdicts = {o.verdict for o in outcomes}
-    if Verdict.FAILS in verdicts:
-        return Verdict.FAILS
-    if verdicts == {Verdict.HOLDS}:
-        return Verdict.HOLDS
-    return Verdict.INCONCLUSIVE
 
 
 def _alternative(
@@ -559,40 +547,21 @@ def _alternative(
     """Sample a strict one-sided bound f <> slope * pinned over a box.
 
     positive_only samples only pinned > 0 and checks f > slope * pinned;
-    otherwise pinned != 0 and f < slope * |pinned|.
+    otherwise pinned != 0 and f < slope * |pinned|.  Excluded points are
+    dropped from the pinned axis, so f is never evaluated there.
     """
-    ts = np.linspace(t_window[0], t_window[1], n)
-    axes = [
-        np.array([lo]) if lo == hi else np.linspace(lo, hi, n)
-        for lo, hi in box.intervals()
-    ]
-    if positive_only:
-        axes[pin_axis] = axes[pin_axis][axes[pin_axis] > 0.0]
-    else:
-        axes[pin_axis] = axes[pin_axis][axes[pin_axis] != 0.0]
-    if axes[pin_axis].size == 0:
+    axes = box_axes((t_window, *box.intervals()), n)
+    k = 1 + pin_axis  # axis 0 is t
+    axes[k] = axes[k][axes[k] > 0.0] if positive_only else axes[k][axes[k] != 0.0]
+    if axes[k].size == 0:
         return AlternativeRecord(name, False, -np.inf, None, 0)
 
-    worst = np.inf
-    witness: tuple[float, ...] | None = None
-    samples = 0
-    shape = tuple(len(a) for a in axes)
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    for t in ts:
-        vals = np.broadcast_to(
-            np.asarray(f_fn(np.array(t), *grids), dtype=float), shape
-        )
-        pinned = np.broadcast_to(grids[pin_axis], shape)
-        if positive_only:
-            margin = vals - slope * pinned
-        else:
-            margin = slope * np.abs(pinned) - vals
-        samples += margin.size
-        flat = int(np.argmin(margin))
-        if margin.flat[flat] < worst:
-            worst = float(margin.flat[flat])
-            idx = np.unravel_index(flat, shape)
-            witness = (float(t),) + tuple(float(axes[k][idx[k]]) for k in range(4))
+    def margin(*args):
+        vals = f_fn(*args)
+        return vals - slope * args[k] if positive_only else slope * np.abs(args[k]) - vals
+
+    worst, witness = grid_extremum(margin, axes, "inf")
+    samples = math.prod(len(a) for a in axes)
     return AlternativeRecord(name, worst > eps, worst, witness, samples)
 
 
@@ -615,7 +584,7 @@ def check_nonexistence(
     records = []
     supported = True
     for i, (comp, consts) in enumerate(zip(problem.components, table.components)):
-        f_fn = _f_on_grid(comp)
+        f_fn = nonlinearity(comp)
         pin_axis = 0 if i == 0 else 2
         env = comp.envelope
         m = consts.m.constant

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .model import AssumptionReport, CheckItem, Envelope, KernelSpec
+from .model import AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, window_integrals
 from .quadopt import integrate
 
 
@@ -179,40 +179,29 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
     phi = np.asarray(exprlang.evaluate(env.phi, {"s": ss}), dtype=float)
     psi = np.asarray(exprlang.evaluate(env.psi, {"s": ss}), dtype=float)
 
-    def worst(arr, name):
-        flat = int(np.argmax(arr))
-        i, j = np.unravel_index(flat, arr.shape)
-        w = float(arr[i, j])
-        return CheckItem(name, w, (float(ts[i]), float(ss[j])), w <= 1e-9)
-
-    items.append(worst(-k_sq, "k >= 0 on [0,1]^2"))
-    items.append(worst(k_sq - phi[None, :], "k <= phi on [0,1]^2"))
-    items.append(worst(-dk_sq, "dk/dt >= 0 on [0,1]^2"))
-    items.append(worst(dk_sq - psi[None, :], "dk/dt <= psi on [0,1]^2"))
+    items.append(_worst(-k_sq, ts, ss, "k >= 0 on [0,1]^2"))
+    items.append(_worst(k_sq - phi[None, :], ts, ss, "k <= phi on [0,1]^2"))
+    items.append(_worst(-dk_sq, ts, ss, "dk/dt >= 0 on [0,1]^2"))
+    items.append(_worst(dk_sq - psi[None, :], ts, ss, "dk/dt <= psi on [0,1]^2"))
 
     ts_strip = np.linspace(env.a, env.b, n)
     k_strip = _kernel_value(alpha, eta, ts_strip[:, None], ss[None, :])
     dk_strip = _kernel_derivative(alpha, eta, ts_strip[:, None], ss[None, :])
-
-    def worst_strip(arr, name):
-        flat = int(np.argmax(arr))
-        i, j = np.unravel_index(flat, arr.shape)
-        w = float(arr[i, j])
-        return CheckItem(name, w, (float(ts_strip[i]), float(ss[j])), w <= 1e-9)
-
-    items.append(worst_strip(env.c * phi[None, :] - k_strip, "k >= c*phi on the strip"))
-    items.append(worst_strip(env.d * psi[None, :] - dk_strip, "dk/dt >= d*psi on the strip"))
+    items.append(_worst(env.c * phi[None, :] - k_strip, ts_strip, ss, "k >= c*phi on the strip"))
+    items.append(_worst(env.d * psi[None, :] - dk_strip, ts_strip, ss, "dk/dt >= d*psi on the strip"))
 
     # slope condition transferred to the derivative kernel at the endpoints
     s_bc = np.linspace(0.0, 1.0, n)
-    bc_gap = np.max(
-        np.abs(
-            _kernel_derivative(alpha, eta, np.array(1.0), s_bc)
-            - alpha * _kernel_derivative(alpha, eta, np.array(eta), s_bc)
+    bc_gap = float(
+        np.max(
+            np.abs(
+                _kernel_derivative(alpha, eta, np.array(1.0), s_bc)
+                - alpha * _kernel_derivative(alpha, eta, np.array(eta), s_bc)
+            )
         )
     )
     items.append(
-        CheckItem("dk/dt(1,s) = alpha*dk/dt(eta,s)", float(bc_gap) - 1e-10, (1.0, 0.0), bc_gap <= 1e-10)
+        CheckItem("dk/dt(1,s) = alpha*dk/dt(eta,s)", bc_gap - 1e-10, (1.0, 0.0), bc_gap <= 1e-10)
     )
 
     ratio = np.min(np.where(phi[None, :] > 0, k_strip / np.maximum(phi[None, :], 1e-300), np.inf))
@@ -310,15 +299,7 @@ def verify_bvp(
 def check_window_integrals(params: GreenParams, g: Expr, tol: float = 1e-12) -> AssumptionReport:
     """Positivity of the default-envelope window integrals against weight g."""
     env = default_envelope(params)
-
-    def phi_g(s):
-        return exprlang.evaluate(env.phi, {"s": s}) * exprlang.evaluate(g, {"s": s})
-
-    def psi_g(s):
-        return exprlang.evaluate(env.psi, {"s": s}) * exprlang.evaluate(g, {"s": s})
-
-    r1 = integrate(phi_g, env.a, env.b, tol=tol)
-    r2 = integrate(psi_g, env.gamma, env.delta, tol=tol)
+    r1, r2 = window_integrals(env, g, tol)
     items = (
         CheckItem("int phi*g over the window > 0", -r1.value, (env.a, env.b), r1.value > r1.error_bound),
         CheckItem("int psi*g over the window > 0", -r2.value, (env.gamma, env.delta), r2.value > r2.error_bound),

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .quadopt import QuadResult, integrate
+from .quadopt import QuadResult, box_extremum_with_witness, integrate
 
 KERNEL_VARS = ("t", "s")
 WEIGHT_VARS = ("s",)
@@ -145,8 +145,13 @@ class SystemProblem:
         return (self.comp1, self.comp2)
 
 
-def _eval_weight(comp: Component, s):
-    return exprlang.evaluate(comp.weight, {"s": s}) * np.ones_like(np.asarray(s, dtype=float))
+def nonlinearity(comp: Component) -> Callable:
+    """comp.f as a function of one broadcastable array per NONLIN_VARS entry."""
+
+    def fn(*args):
+        return exprlang.evaluate(comp.f, dict(zip(NONLIN_VARS, args)))
+
+    return fn
 
 
 def _grid_eval(fn: Callable, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
@@ -201,15 +206,7 @@ def verify_A3(comp: Component, n_t: int = 200, n_s: int = 200) -> AssumptionRepo
 def verify_A4(comp: Component, tol: float = 1e-12) -> AssumptionReport:
     """Check that the two envelope window integrals are strictly positive."""
     env = comp.envelope
-
-    def phi_g(s):
-        return exprlang.evaluate(env.phi, {"s": s}) * exprlang.evaluate(comp.weight, {"s": s})
-
-    def psi_g(s):
-        return exprlang.evaluate(env.psi, {"s": s}) * exprlang.evaluate(comp.weight, {"s": s})
-
-    r1 = integrate(phi_g, env.a, env.b, tol=tol)
-    r2 = integrate(psi_g, env.gamma, env.delta, tol=tol)
+    r1, r2 = window_integrals(env, comp.weight, tol)
     items = (
         CheckItem("int_a^b phi*g > 0", -r1.value, (env.a, env.b), r1.value > r1.error_bound),
         CheckItem(
@@ -225,19 +222,20 @@ def verify_A4(comp: Component, tol: float = 1e-12) -> AssumptionReport:
     )
 
 
-def window_integrals(comp: Component, tol: float = 1e-12) -> tuple[QuadResult, QuadResult]:
+def window_integrals(
+    env: Envelope, weight: Expr, tol: float = 1e-12
+) -> tuple[QuadResult, QuadResult]:
     """The pair (int_a^b phi*g, int_gamma^delta psi*g) with error bounds."""
-    env = comp.envelope
 
-    def phi_g(s):
-        return exprlang.evaluate(env.phi, {"s": s}) * exprlang.evaluate(comp.weight, {"s": s})
+    def times_weight(envelope: Expr):
+        def integrand(s):
+            return exprlang.evaluate(envelope, {"s": s}) * exprlang.evaluate(weight, {"s": s})
 
-    def psi_g(s):
-        return exprlang.evaluate(env.psi, {"s": s}) * exprlang.evaluate(comp.weight, {"s": s})
+        return integrand
 
     return (
-        integrate(phi_g, env.a, env.b, tol=tol),
-        integrate(psi_g, env.gamma, env.delta, tol=tol),
+        integrate(times_weight(env.phi), env.a, env.b, tol=tol),
+        integrate(times_weight(env.psi), env.gamma, env.delta, tol=tol),
     )
 
 
@@ -247,22 +245,8 @@ def verify_nonneg_f(
     """Sample f >= 0 on [0,1] x box (box has one interval per argument slot)."""
     if len(box) != 4:
         raise ValueError("box must provide four intervals (u1, u2, v1, v2)")
-    axes = [np.linspace(0.0, 1.0, n)]
-    for lo, hi in box:
-        if lo > hi:
-            raise ValueError(f"bad box interval [{lo}, {hi}]")
-        axes.append(np.array([lo]) if lo == hi else np.linspace(lo, hi, n))
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    env = dict(zip(NONLIN_VARS, grids))
-    vals = np.broadcast_to(
-        np.asarray(exprlang.evaluate(comp.f, env), dtype=float),
-        tuple(len(a) for a in axes),
-    )
-    flat = int(np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    worst = -float(vals[idx])
-    point = tuple(float(axes[k][idx[k]]) for k in range(5))
-    item = CheckItem("f >= 0 on [0,1] x box", worst, point, worst <= 0.0)
+    low, point = box_extremum_with_witness(nonlinearity(comp), ((0.0, 1.0), *box), "inf", n)
+    item = CheckItem("f >= 0 on [0,1] x box", -low, point, -low <= 0.0)
     return AssumptionReport(
         "nonnegative nonlinearity",
         (item,),

@@ -5,11 +5,13 @@ caller-declared breakpoints, so piecewise-smooth integrands are split along
 their kinks before the first pass.  The extremum search seeds a uniform grid
 and polishes the best bracket with golden-section iteration; it never returns
 a value worse than the best seed.  Box extrema are plain tensor-grid scans
-(corners included) and are estimates, not certified bounds.
+(corners included), run block by block in bounded memory; they are
+estimates, not certified bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -63,6 +65,10 @@ _WG = np.array([
 _GAUSS_IDX = np.arange(1, 15, 2)
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Most grid points one call of a scanned function sees: a box scan's memory
+# is bounded by this, not by its resolution.
+_SCAN_BLOCK = 1 << 22
 
 
 class QuadratureFailure(Exception):
@@ -233,20 +239,53 @@ def extremize(
     return ExtremumResult(best_x, sign * best_y, mode, samples)
 
 
-def box_extremum(
-    fn: Callable,
-    box: Sequence[tuple[float, float]],
-    mode: str = "sup",
-    n_per_axis: int = 17,
-) -> float:
-    """Tensor-grid estimate of sup or inf of ``fn`` over a box.
+def box_axes(box: Sequence[tuple[float, float]], n: int) -> list[np.ndarray]:
+    """Sample points per box interval: ``n`` uniform points, or one if pinned."""
+    axes = []
+    for lo, hi in box:
+        if lo > hi:
+            raise ValueError(f"bad box interval [{lo}, {hi}]")
+        axes.append(np.array([lo]) if lo == hi else np.linspace(lo, hi, n))
+    return axes
 
-    ``fn`` must accept one broadcastable numpy array per axis.  All corners
-    are grid points.  The value is an estimate: a lower bound of the true
-    sup, an upper bound of the true inf.
+
+def grid_extremum(
+    fn: Callable, axes: Sequence[np.ndarray], mode: str = "sup"
+) -> tuple[float, tuple[float, ...]]:
+    """sup or inf of ``fn`` over the tensor grid of ``axes``, with its grid point.
+
+    ``fn`` takes one broadcastable array per axis, and the shape of its
+    result may depend only on the shapes of its arguments.  The grid is
+    scanned in C order, in blocks over the leading axes of at most
+    _SCAN_BLOCK points, so memory does not grow with the grid.  An axis
+    ``fn`` does not read is not scanned: its first point stands for all of
+    it.  Ties resolve to the first grid point in C order.
     """
-    value, _ = box_extremum_with_witness(fn, box, mode, n_per_axis)
-    return value
+    if mode not in ("sup", "inf"):
+        raise ValueError(f"mode must be 'sup' or 'inf', got {mode!r}")
+    pick = np.argmax if mode == "sup" else np.argmin
+
+    def evaluate(block):
+        return np.asarray(fn(*np.meshgrid(*block, indexing="ij", sparse=True)), dtype=float)
+
+    # fn's result has length 1 along every axis it does not read
+    probe = evaluate([a[:2] for a in axes]).shape
+    probe = (1,) * (len(axes) - len(probe)) + probe
+    axes = [a if probe[k] > 1 else a[:1] for k, a in enumerate(axes)]
+    shape = tuple(len(a) for a in axes)
+    split = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _SCAN_BLOCK)
+    step = _SCAN_BLOCK // math.prod(shape[split + 1:])
+    best = where = None
+    for outer in np.ndindex(*shape[:split]):
+        for lo in range(0, shape[split], step):
+            block = [a[i:i + 1] for a, i in zip(axes, outer)]
+            block += [axes[split][lo:lo + step], *axes[split + 1:]]
+            vals = np.broadcast_to(evaluate(block), tuple(len(a) for a in block))
+            idx = np.unravel_index(int(pick(vals)), vals.shape)
+            if best is None or (vals[idx] > best if mode == "sup" else vals[idx] < best):
+                best = vals[idx]
+                where = (*outer, lo + idx[split], *idx[split + 1:])
+    return float(best), tuple(float(a[i]) for a, i in zip(axes, where))
 
 
 def box_extremum_with_witness(
@@ -255,22 +294,15 @@ def box_extremum_with_witness(
     mode: str = "sup",
     n_per_axis: int = 17,
 ) -> tuple[float, tuple[float, ...]]:
-    """box_extremum plus the grid point attaining the returned value."""
-    if mode not in ("sup", "inf"):
-        raise ValueError(f"mode must be 'sup' or 'inf', got {mode!r}")
+    """Tensor-grid estimate of sup or inf of ``fn`` over a box, with its grid point.
+
+    ``fn`` must accept one broadcastable numpy array per axis.  All corners
+    are grid points.  The value is an estimate: a lower bound of the true
+    sup, an upper bound of the true inf.
+    """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be at least 2")
-    axes = []
-    for lo, hi in box:
-        if lo > hi:
-            raise ValueError(f"bad box interval [{lo}, {hi}]")
-        axes.append(np.array([lo]) if lo == hi else np.linspace(lo, hi, n_per_axis))
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    vals = np.broadcast_to(np.asarray(fn(*grids), dtype=float), tuple(len(a) for a in axes))
-    flat = int(np.argmax(vals) if mode == "sup" else np.argmin(vals))
-    idx = np.unravel_index(flat, vals.shape)
-    point = tuple(float(axes[k][idx[k]]) for k in range(len(axes)))
-    return float(vals[idx]), point
+    return grid_extremum(fn, box_axes(box, n_per_axis), mode)
 
 
 def sign_change_roots(

@@ -86,8 +86,9 @@ def test_criterion_1_reference_constants_sign_changing():
 def test_criterion_2_window_integral_regression(sign_changing):
     from hamcert.model import window_integrals
 
-    r11, r12 = window_integrals(sign_changing.problem.comp1)
-    r21, r22 = window_integrals(sign_changing.problem.comp2)
+    comp1, comp2 = sign_changing.problem.components
+    r11, r12 = window_integrals(comp1.envelope, comp1.weight)
+    r21, r22 = window_integrals(comp2.envelope, comp2.weight)
     pairs = [
         (r11.value, 2401 / 65536),
         (r21.value, 8019 / 160000),

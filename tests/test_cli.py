@@ -151,6 +151,16 @@ def test_nonexistence_supported_exits_zero(tmp_path, sign_text, capsys):
     assert "supports non-existence" in out
 
 
+def test_nonexistence_never_evaluates_f_at_excluded_points(tmp_path, sign_text, capsys):
+    # 1/u1 is defined at every sampled point: alternative a drops u1 = 0 and
+    # alternative b keeps only u1 > 0
+    text = sign_text.replace("f = (u1^2 + u2^2)*(2 + cos(v1*v2))", "f = 1/u1", 1)
+    assert main(["nonexistence", _write(tmp_path, text)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "holds  N1a: f1 < m1|u1|" in captured.out
+
+
 def test_solve_exits_zero_and_writes_table(tmp_path, capsys):
     table = tmp_path / "solution.tsv"
     code = main(["solve", bundled_path("sign_changing.prob"), "--table", str(table)])
@@ -166,6 +176,16 @@ def test_green_check_runs_on_green_kernels(capsys):
     assert main(["green-check", bundled_path("third_order.prob")]) == 2
     out = capsys.readouterr().out
     assert "branch gluing is continuous" in out
+
+
+def test_green_check_writes_json_report(tmp_path, capsys):
+    out = tmp_path / "green.json"
+    assert main(["green-check", bundled_path("third_order.prob"), "--out", str(out)]) == 2
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    items = {it["name"]: it for c in doc["components"] for it in c["properties"]["items"]}
+    assert items["dk/dt(1,s) = alpha*dk/dt(eta,s)"]["passed"] is True
 
 
 def test_green_check_requires_green_kernels(capsys):
@@ -220,3 +240,11 @@ def test_json_report_metadata(tmp_path, capsys):
 def test_grid_override(capsys):
     assert main(["certify", bundled_path("sign_changing.prob"), "--grid", "9"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-5", "many"])
+def test_grid_below_two_is_rejected(grid, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", bundled_path("sign_changing.prob"), "--grid", grid])
+    assert exc.value.code != 0
+    assert "--grid: expected an integer >= 2" in capsys.readouterr().err

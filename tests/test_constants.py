@@ -66,10 +66,16 @@ def test_window_metadata(sign_table):
     assert sign_table.comp2.M.window == pytest.approx((13 / 40, 31 / 40))
 
 
-def _midpoint_columns(kfun, weight, t_grid, s_lo, s_hi, n_s=20001):
+def _midpoint_columns(kfun, weight, t_grid, s_lo, s_hi, n_s=20001, rows=64):
+    # a block of ``rows`` t-rows at a time keeps the dense grid small; each
+    # row's sum is the same whichever block it is summed in
     s = np.linspace(s_lo, s_hi, 2 * n_s + 1)[1::2]  # midpoints
     h = (s_hi - s_lo) / n_s
-    return (kfun(np.asarray(t_grid)[:, None], s[None, :]) * weight(s)).sum(axis=1) * h
+    t = np.asarray(t_grid)[:, None]
+    return np.concatenate([
+        (kfun(t[i:i + rows], s[None, :]) * weight(s)).sum(axis=1) * h
+        for i in range(0, len(t), rows)
+    ])
 
 
 def brute_m_reciprocal(comp, n_t=4001):

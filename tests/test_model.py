@@ -77,10 +77,11 @@ def test_envelope_monotone_in_cone_fractions(sign_changing, shrink):
 
 
 def test_window_integrals_match_closed_forms(sign_changing):
-    r1, r2 = window_integrals(sign_changing.problem.comp1)
+    comp1, comp2 = sign_changing.problem.components
+    r1, r2 = window_integrals(comp1.envelope, comp1.weight)
     assert abs(r1.value - 2401 / 65536) <= 1e-10
     assert abs(r2.value - 441 / 16384) <= 1e-10
-    r1, r2 = window_integrals(sign_changing.problem.comp2)
+    r1, r2 = window_integrals(comp2.envelope, comp2.weight)
     assert abs(r1.value - 8019 / 160000) <= 1e-10
     assert abs(r2.value - 1331 / 32000) <= 1e-10
 

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import quadopt
 from hamcert.quadopt import (
     QuadratureFailure,
-    box_extremum,
+    box_axes,
     box_extremum_with_witness,
     extremize,
+    grid_extremum,
     integrate,
     sign_change_roots,
 )
@@ -103,7 +105,7 @@ def test_box_extremum_linear_attains_corner():
     )
     assert val == pytest.approx(5.0, abs=1e-12)
     assert witness == pytest.approx((1.0, 2.0))
-    low = box_extremum(lambda u1, u2: u1 + 2.0 * u2, box, mode="inf")
+    low, _ = box_extremum_with_witness(lambda u1, u2: u1 + 2.0 * u2, box, mode="inf")
     assert low == pytest.approx(0.0, abs=1e-12)
 
 
@@ -114,18 +116,96 @@ def test_box_extremum_monotone_under_refinement():
     def fn(x, y):
         return np.cos(5.0 * x) * np.sin(7.0 * y) + 0.1 * x
 
-    sups = [box_extremum(fn, box, mode="sup", n_per_axis=n) for n in (5, 9, 17, 33)]
+    sups = [box_extremum_with_witness(fn, box, "sup", n)[0] for n in (5, 9, 17, 33)]
     for coarse, fine in zip(sups, sups[1:]):
         assert fine >= coarse - 1e-15
-    infs = [box_extremum(fn, box, mode="inf", n_per_axis=n) for n in (5, 9, 17, 33)]
+    infs = [box_extremum_with_witness(fn, box, "inf", n)[0] for n in (5, 9, 17, 33)]
     for coarse, fine in zip(infs, infs[1:]):
         assert fine <= coarse + 1e-15
 
 
 def test_box_extremum_degenerate_interval():
     # a pinned coordinate (zero-width interval) is allowed
-    val = box_extremum(lambda x, y: x * 10.0 + y, [(0.5, 0.5), (0.0, 1.0)], mode="sup")
+    val, _ = box_extremum_with_witness(lambda x, y: x * 10.0 + y, [(0.5, 0.5), (0.0, 1.0)])
     assert val == pytest.approx(6.0, abs=1e-12)
+
+
+def _dense_extremum(fn, axes, mode):
+    # the reference the chunked scan must match: one dense C-order arg-reduction
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    vals = np.broadcast_to(np.asarray(fn(*grids), dtype=float), tuple(len(a) for a in axes))
+    idx = np.unravel_index(int(np.argmax(vals) if mode == "sup" else np.argmin(vals)), vals.shape)
+    return float(vals[idx]), tuple(float(a[i]) for a, i in zip(axes, idx))
+
+
+SCAN_CASES = {
+    "smooth": (lambda t, x, y: np.cos(3.0 * t + x) * np.sin(2.0 * y) + 0.1 * x * y, None),
+    "ties": (lambda t, x, y: np.floor(2.0 * x) + np.floor(2.0 * y) + 0.0 * t, None),
+    "constant": (lambda t, x, y: 7.0, None),
+    "ignores t": (lambda t, x, y: (x - 0.3) ** 2 - y, None),
+    "ignores t and y": (lambda t, x, y: np.abs(x - 0.5), None),
+    "reads only t": (lambda t, x, y: np.sin(5.0 * t), None),
+    "zero-width x": (lambda t, x, y: t * x - y**2, 1),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, 50, 2**22])
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+@pytest.mark.parametrize("case", sorted(SCAN_CASES))
+def test_grid_extremum_matches_dense_reference(monkeypatch, block, mode, case):
+    # tiny blocks force every split: over t, over x, one row at a time, whole grid
+    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", block)
+    fn, pinned = SCAN_CASES[case]
+    axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4), np.linspace(0.0, 2.0, 5)]
+    if pinned is not None:
+        axes[pinned] = np.array([0.25])
+    assert grid_extremum(fn, axes, mode) == _dense_extremum(fn, axes, mode)
+
+
+def test_grid_extremum_ties_go_to_first_point_in_c_order():
+    axes = box_axes([(0.0, 1.0)] * 3, 5)
+    assert grid_extremum(lambda a, b, c: 0.0 * (a + b + c), axes, "sup") == (0.0, (0.0, 0.0, 0.0))
+    # equal maxima at x = 1 for every y: the first y wins
+    assert grid_extremum(lambda t, x, y: x + 0.0 * y, axes, "sup") == (1.0, (0.0, 1.0, 0.0))
+
+
+def test_grid_extremum_calls_stay_within_the_block(monkeypatch):
+    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 64)
+    sizes = []
+
+    def fn(*args):
+        sizes.append(np.broadcast(*args).size)
+        return sum(np.sin(a * (k + 1)) for k, a in enumerate(args))
+
+    axes = box_axes([(0.0, 1.0)] * 5, 9)
+    found = grid_extremum(fn, axes, "sup")
+    assert max(sizes) <= 64
+    assert sum(sizes[1:]) == 9**5  # the blocks after the probe tile the grid once
+    assert found == _dense_extremum(fn, axes, "sup")
+
+
+def test_grid_extremum_does_not_scan_an_ignored_axis(monkeypatch):
+    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 100)
+    t_lengths = []
+
+    def fn(t, x, y):
+        t_lengths.append(np.shape(t)[0])
+        return x * y
+
+    axes = box_axes([(0.0, 1.0)] * 3, 20)
+    found = grid_extremum(fn, axes, "inf")
+    assert t_lengths[0] == 2  # the probe
+    assert t_lengths[1:] == [1] * 4  # 20 x-rows in blocks of 5, once for all t
+    assert found == _dense_extremum(fn, axes, "inf")
+
+
+def test_box_extremum_rejects_bad_input():
+    with pytest.raises(ValueError, match="mode"):
+        box_extremum_with_witness(lambda x: x, [(0.0, 1.0)], mode="max")
+    with pytest.raises(ValueError, match="at least 2"):
+        box_extremum_with_witness(lambda x: x, [(0.0, 1.0)], n_per_axis=1)
+    with pytest.raises(ValueError, match="bad box interval"):
+        box_extremum_with_witness(lambda x: x, [(1.0, 0.0)])
 
 
 @settings(max_examples=40, deadline=None)
