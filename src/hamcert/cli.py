@@ -640,8 +640,16 @@ def _grid_size(text: str) -> int:
     return int(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: exit 2 means FAILS or refuted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamcert",
         description="certify and solve two-component Hammerstein systems with "
         "derivative-dependent nonlinearities",

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import exprlang
-from .model import Component, SystemProblem
+from .model import Component, SystemProblem, function_of_s
 from .quadopt import extremize, integrate, sign_change_roots
 
 
@@ -76,20 +75,11 @@ class ConstantsTable:
         return {"component_1": self.comp1.as_dict(), "component_2": self.comp2.as_dict()}
 
 
-def _weight_at(comp: Component):
-    g = comp.weight
-
-    def g_at(s):
-        return exprlang.evaluate(g, {"s": s}) * np.ones_like(np.asarray(s, dtype=float))
-
-    return g_at
-
-
 def _integral_of_abs(comp: Component, use_derivative: bool):
     """t -> int_0^1 |kernel| g ds, with abs-kinks added as panel breakpoints."""
     spec = comp.kernel
     kern = spec.dk_dt if use_derivative else spec.k
-    g_at = _weight_at(comp)
+    g_at = function_of_s(comp.weight)
 
     def at(t: float) -> tuple[float, float]:
         bps = set(spec.breakpoints(t))
@@ -111,7 +101,7 @@ def _integral_of_abs(comp: Component, use_derivative: bool):
 def _integral_signed(comp: Component, use_derivative: bool, lo: float, hi: float):
     spec = comp.kernel
     kern = spec.dk_dt if use_derivative else spec.k
-    g_at = _weight_at(comp)
+    g_at = function_of_s(comp.weight)
 
     def at(t: float) -> tuple[float, float]:
         res = integrate(

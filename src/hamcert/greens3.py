@@ -17,7 +17,9 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .model import AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, window_integrals
+from .model import (
+    AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s, window_integrals,
+)
 from .quadopt import integrate
 
 
@@ -176,8 +178,8 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
 
     k_sq = _kernel_value(alpha, eta, ts[:, None], ss[None, :])
     dk_sq = _kernel_derivative(alpha, eta, ts[:, None], ss[None, :])
-    phi = np.asarray(exprlang.evaluate(env.phi, {"s": ss}), dtype=float)
-    psi = np.asarray(exprlang.evaluate(env.psi, {"s": ss}), dtype=float)
+    phi = function_of_s(env.phi)(ss)
+    psi = function_of_s(env.psi)(ss)
 
     items.append(_worst(-k_sq, ts, ss, "k >= 0 on [0,1]^2"))
     items.append(_worst(k_sq - phi[None, :], ts, ss, "k <= phi on [0,1]^2"))
@@ -241,8 +243,7 @@ def verify_bvp(
     ts = np.linspace(0.0, 1.0, n_grid)
     step = ts[1] - ts[0]
 
-    def h_at(x):
-        return exprlang.evaluate(h, {"s": x}) * np.ones_like(np.asarray(x, dtype=float))
+    h_at = function_of_s(h)
 
     def w_at(t: float) -> float:
         return integrate(

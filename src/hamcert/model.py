@@ -154,6 +154,19 @@ def nonlinearity(comp: Component) -> Callable:
     return fn
 
 
+def function_of_s(expr: Expr) -> Callable:
+    """An expression over s (weight, envelope, load) as a function of s.
+
+    The result is a float array of the shape of s, also for a constant.
+    """
+
+    def at(s):
+        s = np.asarray(s, dtype=float)
+        return exprlang.evaluate(expr, {"s": s}) * np.ones_like(s)
+
+    return at
+
+
 def _grid_eval(fn: Callable, ts: np.ndarray, ss: np.ndarray) -> np.ndarray:
     return np.asarray(fn(ts[:, None], ss[None, :]), dtype=float) * np.ones((len(ts), len(ss)))
 
@@ -175,8 +188,8 @@ def verify_A3(comp: Component, n_t: int = 200, n_s: int = 200) -> AssumptionRepo
     env = comp.envelope
     ts = np.linspace(0.0, 1.0, n_t)
     ss = np.linspace(0.0, 1.0, n_s)
-    phi = exprlang.evaluate(env.phi, {"s": ss}) * np.ones_like(ss)
-    psi = exprlang.evaluate(env.psi, {"s": ss}) * np.ones_like(ss)
+    phi = function_of_s(env.phi)(ss)
+    psi = function_of_s(env.psi)(ss)
 
     k_sq = _grid_eval(comp.kernel.k, ts, ss)
     dk_sq = _grid_eval(comp.kernel.dk_dt, ts, ss)

@@ -1,33 +1,31 @@
-"""Collocation of the Hammerstein operator and Picard iteration.
+"""Product integration of the Hammerstein operator and Picard iteration.
 
-State is a GridPair: nodal values of (u, u', v, v') on a uniform grid.  The
-operator image is computed from precomputed kernel-times-weight matrices
-over composite Gauss panels (panel edges at the grid nodes plus any declared
-kernel breakpoints), with the nonlinearity evaluated at linearly
-interpolated arguments.  u' is iterated through the derivative kernel, not
-by differencing u.
+State is a GridPair: nodal values of (u, u', v, v') on the uniform grid
+linspace(0, 1, n).  The nonlinearity is evaluated at the n nodes only, and
+its linear interpolant is integrated exactly against k*g (Atkinson, The
+Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4):
+each image is one matrix-vector product with n x n weights.  The weights
+are composite Gauss-7 sums over panels split at the grid nodes and the
+kernel breakpoints, and the last problem's weights are kept for reuse.
+u' is iterated through the derivative kernel, not by differencing u.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import exprlang
-from .model import Component, ConeVariant, SystemProblem
+from . import quadopt
+from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
 
-# Gauss-Legendre 7 on [-1, 1]
-_GL_X = np.array([
-    -0.9491079123427585245262, -0.7415311855993944398639, -0.4058451513773971669066,
-    0.0,
-    0.4058451513773971669066, 0.7415311855993944398639, 0.9491079123427585245262,
-])
-_GL_W = np.array([
-    0.1294849661688696932706, 0.2797053914892766679015, 0.3818300505051189449504,
-    0.4179591836734693877551,
-    0.3818300505051189449504, 0.2797053914892766679015, 0.1294849661688696932706,
-])
+# Most grid nodes a solve accepts: its four n x n float64 weight matrices
+# then take about 0.5 GB.
+MAX_NODES = 4001
+
+_FIELDS = ("u", "du", "v", "dv")  # the nodal arrays of a GridPair
 
 
 class Divergence(RuntimeError):
@@ -44,9 +42,9 @@ class GridPair:
 
     def __post_init__(self):
         n = len(self.grid)
-        if n < 101:
-            raise ValueError(f"grid needs at least 101 nodes, got {n}")
-        for name in ("u", "du", "v", "dv"):
+        if not np.array_equal(self.grid, _uniform_grid(n)):
+            raise ValueError(f"grid must be the uniform grid linspace(0, 1, {n})")
+        for name in _FIELDS:
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
@@ -56,13 +54,10 @@ class GridPair:
     @staticmethod
     def zeros(n: int = 401) -> "GridPair":
         z = np.zeros(n)
-        return GridPair(np.linspace(0.0, 1.0, n), z, z.copy(), z.copy(), z.copy())
+        return GridPair(_uniform_grid(n), z, z.copy(), z.copy(), z.copy())
 
     def norms(self) -> dict[str, float]:
-        u_c = float(np.max(np.abs(self.u)))
-        du_c = float(np.max(np.abs(self.du)))
-        v_c = float(np.max(np.abs(self.v)))
-        dv_c = float(np.max(np.abs(self.dv)))
+        u_c, du_c, v_c, dv_c = (float(np.max(np.abs(getattr(self, k)))) for k in _FIELDS)
         return {
             "u_C": u_c,
             "du_C": du_c,
@@ -71,6 +66,14 @@ class GridPair:
             "u_C1": max(u_c, du_c),
             "v_C1": max(v_c, dv_c),
         }
+
+
+def _uniform_grid(n: int) -> np.ndarray:
+    if n < 101:
+        raise ValueError(f"grid needs at least 101 nodes, got {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"grid needs at most {MAX_NODES} nodes, got {n}")
+    return np.linspace(0.0, 1.0, n)
 
 
 @dataclass(frozen=True)
@@ -96,89 +99,76 @@ class ConeReport:
     tolerance: float
 
 
-class _Discretization:
-    """Quadrature points and kernel matrices for one problem on one grid."""
-
-    def __init__(self, problem: SystemProblem, grid: np.ndarray):
-        self.grid = grid
-        edges = set(grid.tolist())
-        for comp in problem.components:
-            for t in grid:
-                edges.update(comp.kernel.breakpoints(float(t)))
-        eps = 1e-12
-        uniq = sorted(e for e in edges if 0.0 <= e <= 1.0)
-        merged = [uniq[0]]
-        for e in uniq[1:]:
-            if e - merged[-1] > eps:
-                merged.append(e)
-        lo = np.array(merged[:-1])
-        hi = np.array(merged[1:])
-        half = 0.5 * (hi - lo)
-        # quadrature nodes: panels x 7, flattened
-        self.s = (0.5 * (lo + hi)[:, None] + half[:, None] * _GL_X[None, :]).ravel()
-        w = (half[:, None] * _GL_W[None, :]).ravel()
-        self.matrices = []
-        for comp in problem.components:
-            g = np.asarray(
-                exprlang.evaluate(comp.weight, {"s": self.s}) * np.ones_like(self.s),
-                dtype=float,
-            )
-            gw = g * w
-            k = np.asarray(comp.kernel.k(grid[:, None], self.s[None, :]), dtype=float)
-            dk = np.asarray(comp.kernel.dk_dt(grid[:, None], self.s[None, :]), dtype=float)
-            self.matrices.append((k * gw[None, :], dk * gw[None, :]))
+class _Weights(NamedTuple):
+    grid: np.ndarray
+    s: np.ndarray  # column nodes of the matrices: the grid nodes themselves
+    matrices: tuple[tuple[np.ndarray, np.ndarray], ...]  # (K_i, dK_i/dt) per component
 
 
-_cache: dict[tuple[int, int], tuple[SystemProblem, _Discretization]] = {}
+@functools.lru_cache(maxsize=1)
+def _discretize(problem: SystemProblem, n: int) -> _Weights:
+    """Product-integration weights of k_i*g_i and dk_i/dt*g_i on the n-node grid.
 
-
-def _discretize(problem: SystemProblem, grid: np.ndarray) -> _Discretization:
-    key = (id(problem), len(grid))
-    hit = _cache.get(key)
-    if hit is not None and hit[0] is problem:
-        return hit[1]
-    disc = _Discretization(problem, grid)
-    _cache[key] = (problem, disc)
-    return disc
+    Entry (i, j) is the integral of k(t_i, s) g(s) against the hat function
+    of node j, so K @ f integrates the linear interpolant of nodal f exactly
+    against k*g.  The integrals are composite Gauss-7 sums over panels split
+    at the grid nodes and the kernel breakpoints; each quadrature node's term
+    is shared by the two hats whose support holds it.  Rows are built in
+    blocks of at most quadopt._SCAN_BLOCK kernel evaluations.
+    """
+    grid = _uniform_grid(n)
+    grid.flags.writeable = False
+    bps = [comp.kernel.breakpoints(float(t)) for comp in problem.components for t in grid]
+    edges = np.unique(np.concatenate([grid, *bps]))
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    edges = edges[np.r_[True, np.diff(edges) > 1e-12]]  # merge near-duplicates
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(7)  # Gauss-Legendre 7 on [-1, 1]
+    # quadrature nodes: panels x 7, flattened and ascending
+    s = (0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
+    cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
+    frac = (s - grid[cell]) / (grid[cell + 1] - grid[cell])
+    starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel
+    rows = max(1, quadopt._SCAN_BLOCK // len(s))
+    matrices = []
+    for comp in problem.components:
+        gw = function_of_s(comp.weight)(s) * w
+        left, right = gw * (1.0 - frac), gw * frac
+        pair = []
+        for kern in (comp.kernel.k, comp.kernel.dk_dt):
+            out = np.zeros((n, n))
+            for r in range(0, n, rows):
+                t = grid[r:r + rows, None]
+                vals = np.broadcast_to(np.asarray(kern(t, s), dtype=float), (len(t), len(s)))
+                out[r:r + rows, :-1] = np.add.reduceat(vals * left, starts, axis=1)
+                out[r:r + rows, 1:] += np.add.reduceat(vals * right, starts, axis=1)
+            out.flags.writeable = False
+            pair.append(out)
+        matrices.append(tuple(pair))
+    return _Weights(grid, grid, tuple(matrices))
 
 
 def apply_T(problem: SystemProblem, p: GridPair) -> GridPair:
     """One application of the integral operator to a GridPair."""
-    disc = _discretize(problem, p.grid)
-    s = disc.s
-    args = {
-        "t": s,
-        "u1": np.interp(s, p.grid, p.u),
-        "u2": np.interp(s, p.grid, p.du),
-        "v1": np.interp(s, p.grid, p.v),
-        "v2": np.interp(s, p.grid, p.dv),
-    }
-    ones = np.ones_like(s)
-    f1 = np.asarray(exprlang.evaluate(problem.comp1.f, args) * ones, dtype=float)
-    f2 = np.asarray(exprlang.evaluate(problem.comp2.f, args) * ones, dtype=float)
-    (k1, d1), (k2, d2) = disc.matrices
+    (k1, d1), (k2, d2) = _discretize(problem, len(p.grid)).matrices
+    f1, f2 = (
+        np.broadcast_to(nonlinearity(comp)(p.grid, p.u, p.du, p.v, p.dv), p.grid.shape)
+        for comp in problem.components
+    )
     return GridPair(p.grid, k1 @ f1, d1 @ f1, k2 @ f2, d2 @ f2)
 
 
 def _sup_distance(a: GridPair, b: GridPair) -> float:
-    return max(
-        float(np.max(np.abs(a.u - b.u))),
-        float(np.max(np.abs(a.du - b.du))),
-        float(np.max(np.abs(a.v - b.v))),
-        float(np.max(np.abs(a.dv - b.dv))),
-    )
+    return max(float(np.max(np.abs(getattr(a, k) - getattr(b, k)))) for k in _FIELDS)
 
 
 def _blend(x: GridPair, tx: GridPair, theta: float) -> GridPair:
     if theta == 1.0:
         return tx
-    return GridPair(
-        x.grid,
-        (1 - theta) * x.u + theta * tx.u,
-        (1 - theta) * x.du + theta * tx.du,
-        (1 - theta) * x.v + theta * tx.v,
-        (1 - theta) * x.dv + theta * tx.dv,
-    )
+    mixed = ((1 - theta) * getattr(x, k) + theta * getattr(tx, k) for k in _FIELDS)
+    return GridPair(x.grid, *mixed)
 
 
 def picard(
@@ -291,7 +281,7 @@ def bump_init(problem: SystemProblem, n: int = 401, scale: float = 1.0) -> GridP
     valid cone point at every positive scale.
     """
     ones = np.ones(n)
-    grid = np.linspace(0.0, 1.0, n)
+    grid = _uniform_grid(n)
     base = apply_T(problem, GridPair(grid, ones, ones, ones, ones))
     top = max(v for v in base.norms().values())
     if top == 0.0:
@@ -312,13 +302,9 @@ def linear_image(
     analog on the n-node grid; q_i are nodal values interpolated linearly.
     For nonnegative q the result lies in the cone by the envelope bounds.
     """
-    grid = np.linspace(0.0, 1.0, n)
-    disc = _discretize(problem, grid)
-    s = disc.s
-    q1s = np.interp(s, grid, q1)
-    q2s = np.interp(s, grid, q2)
-    (k1, d1), (k2, d2) = disc.matrices
-    return GridPair(grid, k1 @ q1s, d1 @ q1s, k2 @ q2s, d2 @ q2s)
+    weights = _discretize(problem, n)
+    (k1, d1), (k2, d2) = weights.matrices
+    return GridPair(weights.grid, k1 @ q1, d1 @ q1, k2 @ q2, d2 @ q2)
 
 
 def export_table(p: GridPair) -> str:

@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from hamcert import solver
 from hamcert.cli import ProblemFileError, load_problem, main
 from hamcert.conditions import Scenario
 from hamcert.model import ConeVariant
@@ -207,8 +208,15 @@ def test_parse_error_exits_one(tmp_path, sign_text, capsys):
 def test_unknown_command_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["swizzle", bundled_path("sign_changing.prob")])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: hamcert" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- reports
@@ -240,6 +248,16 @@ def test_json_report_metadata(tmp_path, capsys):
 def test_grid_override(capsys):
     assert main(["certify", bundled_path("sign_changing.prob"), "--grid", "9"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", ["sign_changing.prob", "third_order.prob"])
+def test_solve_grid_above_the_ceiling_exits_one_before_building(name, monkeypatch, capsys):
+    def no_weights(*args):
+        raise AssertionError("weights built for an oversized grid")
+
+    monkeypatch.setattr(solver, "_discretize", no_weights)
+    assert main(["solve", bundled_path(name), "--grid", "20001"]) == 1
+    assert "grid needs at most 4001 nodes, got 20001" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["0", "1", "-5", "many"])

@@ -6,11 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hamcert import exprlang
+from hamcert import exprlang, quadopt
 from hamcert.model import NONLIN_VARS, BoundHints
 from hamcert.solver import (
+    MAX_NODES,
     Divergence,
     GridPair,
+    _discretize,
     apply_T,
     bump_init,
     cone_membership,
@@ -50,6 +52,19 @@ def test_grid_pair_validation():
         GridPair(grid, bad, np.zeros(101), np.zeros(101), np.zeros(101))
 
 
+def test_grid_pair_rejects_a_non_uniform_grid_of_a_cached_length(sign_changing):
+    apply_T(sign_changing.problem, GridPair.zeros(201))  # weights for n = 201 now memoized
+    squared = np.linspace(0.0, 1.0, 201) ** 2
+    with pytest.raises(ValueError, match="uniform grid"):
+        GridPair(squared, *np.zeros((4, 201)))
+
+
+def test_grid_pair_rejects_more_than_max_nodes():
+    GridPair.zeros(MAX_NODES)
+    with pytest.raises(ValueError, match=f"at most {MAX_NODES} nodes"):
+        GridPair.zeros(MAX_NODES + 1)
+
+
 def test_grid_pair_norms():
     grid = np.linspace(0.0, 1.0, 101)
     p = GridPair(grid, grid, -3.0 * grid, 0.5 * grid, 0.25 * grid)
@@ -82,6 +97,47 @@ def test_unit_nonlinearity_matches_kernel_moments(sign_changing):
     assert np.max(np.abs(out.du - (7 / 8 - 2 * t) / 2)) < 1e-13
     assert np.max(np.abs(out.v - (11 / 10 * t - t**2 - 1 / 10) / 2)) < 1e-13
     assert np.max(np.abs(out.dv - (11 / 10 - 2 * t) / 2)) < 1e-13
+
+
+def test_linear_nonlinearity_matches_the_first_moment(sign_changing):
+    # f == t is interpolated exactly by the hat functions:
+    # u(t) = (7/8 t - t^2)/3, v(t) = (11/10 t - t^2 - 1/10)/3
+    problem = _constant_f(sign_changing.problem, "t", "t")
+    out = apply_T(problem, GridPair.zeros(401))
+    t = out.grid
+    assert np.max(np.abs(out.u - (7 / 8 * t - t**2) / 3)) < 1e-13
+    assert np.max(np.abs(out.du - (7 / 8 - 2 * t) / 3)) < 1e-13
+    assert np.max(np.abs(out.v - (11 / 10 * t - t**2 - 1 / 10) / 3)) < 1e-13
+    assert np.max(np.abs(out.dv - (11 / 10 - 2 * t) / 3)) < 1e-13
+
+
+def test_operator_of_identity_nonlinearity_is_the_linear_image(sign_changing):
+    problem = _constant_f(sign_changing.problem, "u1", "v2")
+    rng = np.random.default_rng(5)
+    p = GridPair(np.linspace(0.0, 1.0, 201), *rng.standard_normal((4, 201)))
+    out = apply_T(problem, p)
+    ref = linear_image(problem, p.u, p.dv, n=201)
+    for name in ("u", "du", "v", "dv"):
+        assert np.max(np.abs(getattr(out, name) - getattr(ref, name))) <= 1e-14
+
+
+def test_weight_memo_holds_one_problem(sign_changing, third_order):
+    apply_T(sign_changing.problem, GridPair.zeros(101))
+    apply_T(third_order.problem, GridPair.zeros(101))
+    assert _discretize.cache_info().currsize == 1
+    weights = _discretize(third_order.problem, 101)
+    assert _discretize.cache_info().currsize == 1
+    assert weights.s is weights.grid and weights.matrices[1][1].shape == (101, 101)
+    assert not weights.matrices[0][0].flags.writeable
+
+
+@pytest.mark.parametrize("block", [1, 700, 5000])
+def test_row_blocks_do_not_change_the_weights(block, third_order, monkeypatch):
+    whole = _discretize.__wrapped__(third_order.problem, 101)
+    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", block)
+    blocked = _discretize.__wrapped__(third_order.problem, 101)
+    for a, b in zip(whole.matrices, blocked.matrices):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_state_independent_nonlinearity_is_idempotent(sign_changing):
