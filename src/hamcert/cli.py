@@ -18,9 +18,8 @@ import json
 import re
 import sys
 import time
+from enum import Enum
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, exprlang, greens3
 from .conditions import (
@@ -385,23 +384,6 @@ def load_problem(path: str) -> LoadedProblem:
 # ---------------------------------------------------------------- reports
 
 
-def _report_dict(report: AssumptionReport) -> dict:
-    return {
-        "name": report.name,
-        "passed": report.passed,
-        "note": report.note,
-        "items": [
-            {
-                "name": it.name,
-                "worst_violation": it.worst_violation,
-                "location": list(it.location),
-                "passed": it.passed,
-            }
-            for it in report.items
-        ],
-    }
-
-
 def _print_reports(reports: list[AssumptionReport]) -> None:
     for rep in reports:
         print(f"{'PASS' if rep.passed else 'FAIL'}  {rep.name}")
@@ -418,7 +400,7 @@ def _print_certificate(cert: Certificate) -> None:
         print(f"scenario {cert.scenario.value} along {rungs}")
     for out in cert.outcomes:
         print(f"  {out.condition} at ({out.rho[0]:g}, {out.rho[1]:g}): {out.verdict.value}")
-        for e in out.entries:
+        for e in out.inequalities:
             print(
                 f"    {e.verdict.value:<12} {e.name}: {e.lhs:.6g} vs {e.rhs:.6g} "
                 f"(margin {e.margin:.3e}, {e.bound_source})"
@@ -437,6 +419,15 @@ def _print_certificate(cert: Certificate) -> None:
 _VERDICT_EXIT = {Verdict.HOLDS: 0, Verdict.FAILS: 2, Verdict.INCONCLUSIVE: 3}
 
 
+def _json_default(obj):
+    """A report field's JSON form: dataclasses as dicts, enums as their values."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, Enum):
+        return obj.value
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(doc: dict, args) -> None:
     if not args.no_meta:
         doc["meta"] = {
@@ -445,7 +436,8 @@ def _emit(doc: dict, args) -> None:
             "generated_unix": int(time.time()),
         }
     if args.out:
-        Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default)
+        Path(args.out).write_text(text + "\n")
 
 
 # ---------------------------------------------------------------- commands
@@ -469,14 +461,8 @@ def _cmd_assumptions(loaded: LoadedProblem, args) -> tuple[int, dict]:
             reports.append(dataclasses.replace(rep, name=f"component {i + 1}: {rep.name}"))
     _print_reports(reports)
     passed = all(r.passed for r in reports)
-    doc = {"command": "assumptions", "passed": passed, "reports": [_report_dict(r) for r in reports]}
+    doc = {"command": "assumptions", "passed": passed, "reports": reports}
     return (0 if passed else 2), doc
-
-
-def _constant_dict(res) -> dict:
-    d = res.as_dict()
-    d["reciprocal"] = 1.0 / res.constant
-    return d
 
 
 def _cmd_constants(loaded: LoadedProblem, args) -> tuple[int, dict]:
@@ -484,7 +470,7 @@ def _cmd_constants(loaded: LoadedProblem, args) -> tuple[int, dict]:
     rows = []
     for consts in table.components:
         for res in (consts.m, consts.m_star, consts.M, consts.M_star):
-            rows.append(_constant_dict(res))
+            rows.append({**dataclasses.asdict(res), "reciprocal": 1.0 / res.constant})
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         print(
@@ -504,7 +490,7 @@ def _cmd_certify(loaded: LoadedProblem, args) -> tuple[int, dict]:
     n = args.grid if args.grid is not None else check.resolution
     cert = certify(loaded.problem, check.scenario, check.ladder, table, policy, n)
     _print_certificate(cert)
-    doc = {"command": "certify", "certificate": cert.as_dict()}
+    doc = {"command": "certify", "certificate": cert}
     return _VERDICT_EXIT[cert.verdict], doc
 
 
@@ -516,7 +502,7 @@ def _cmd_nonexistence(loaded: LoadedProblem, args) -> tuple[int, dict]:
     n = args.grid if args.grid is not None else loaded.check.nonexistence_resolution
     cert = check_nonexistence(problem, table, box, n)
     _print_certificate(cert)
-    doc = {"command": "nonexistence", "certificate": cert.as_dict()}
+    doc = {"command": "nonexistence", "certificate": cert}
     return _VERDICT_EXIT[cert.verdict], doc
 
 
@@ -561,11 +547,7 @@ def _cmd_solve(loaded: LoadedProblem, args) -> tuple[int, dict]:
         "tol": tol,
         "norms": result.norms,
         "derivative_consistency": derivative_consistency(result.pair),
-        "cone": {
-            "passed": cone.passed,
-            "tolerance": cone.tolerance,
-            "checks": [{"name": c.name, "slack": c.slack, "passed": c.passed} for c in cone.checks],
-        },
+        "cone": cone,
         "annuli": annuli,
     }
     return (0 if result.converged else 2), doc
@@ -587,7 +569,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
             "component": i + 1,
             "alpha": params.alpha,
             "eta": params.eta,
-            "properties": _report_dict(report),
+            "properties": report,
             "bvp": [],
         }
         ok = report.passed
@@ -595,18 +577,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
             h = exprlang.parse(h_text, ("s",))
             try:
                 res = greens3.verify_bvp(params, h, n_grid=n_grid, ode_tol=ode_tol)
-                entry["bvp"].append(
-                    {
-                        "h": h_text,
-                        "ode_residual": res.ode_residual,
-                        "ode_worst_node": res.ode_worst_node,
-                        "bc_at_zero": res.bc_at_zero,
-                        "bc_slope_at_zero": res.bc_slope_at_zero,
-                        "bc_three_point": res.bc_three_point,
-                        "n_grid": res.n_grid,
-                        "passed": True,
-                    }
-                )
+                entry["bvp"].append({"h": h_text, **dataclasses.asdict(res), "passed": True})
                 print(
                     f"  bvp h = {h_text}: ode residual {res.ode_residual:.3e}, "
                     f"bc residuals ({res.bc_at_zero:.1e}, {res.bc_slope_at_zero:.1e}, "
@@ -640,6 +611,16 @@ def _grid_size(text: str) -> int:
     return int(text)
 
 
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits 1 on a usage error: exit 2 means FAILS or refuted."""
 
@@ -657,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("file", help="problem file (schema = 1)")
     parser.add_argument("--out", help="write a machine-readable JSON report here")
-    parser.add_argument("--tol", type=float, default=None, help="override the command's tolerance")
+    parser.add_argument("--tol", type=_tolerance, default=None, help="override the command's tolerance")
     parser.add_argument("--grid", type=_grid_size, default=None, help="override the command's resolution")
     parser.add_argument("--no-meta", action="store_true", help="omit the metadata block for byte-identical reports")
     parser.add_argument(

@@ -164,34 +164,13 @@ class InequalityEntry:
     grid_value: float
     witness: tuple[float, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "bound_source": self.bound_source,
-            "verdict": self.verdict.value,
-            "epsilon": self.epsilon,
-            "grid_value": self.grid_value,
-            "witness": list(self.witness),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ConditionOutcome:
     condition: str
     rho: tuple[float, float]
-    entries: tuple[InequalityEntry, ...]
+    inequalities: tuple[InequalityEntry, ...]
     verdict: Verdict
-
-    def as_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "rho": list(self.rho),
-            "verdict": self.verdict.value,
-            "inequalities": [e.as_dict() for e in self.entries],
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,15 +180,6 @@ class AlternativeRecord:
     worst_margin: float
     witness: tuple[float, ...] | None
     samples: int
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "holds": self.holds,
-            "worst_margin": self.worst_margin,
-            "witness": None if self.witness is None else list(self.witness),
-            "samples": self.samples,
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,19 +193,6 @@ class Certificate:
     alternatives: tuple[AlternativeRecord, ...] = ()
     rigorous: bool = False
     note: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.value,
-            "ladder": [list(r) for r in self.ladder],
-            "solution_count": self.solution_count,
-            "verdict": self.verdict.value,
-            "outcomes": [o.as_dict() for o in self.outcomes],
-            "annuli": [[list(inner), list(outer)] for inner, outer in self.annuli],
-            "alternatives": [a.as_dict() for a in self.alternatives],
-            "rigorous": self.rigorous,
-            "note": self.note,
-        }
 
 
 def _hint_value(expr, rho1: float, rho2: float) -> float:
@@ -514,7 +471,7 @@ def certify(
     outcomes = tuple(outcomes)
     verdict = _combine(outcomes)
     hint_backed = all(
-        e.bound_source == USER_HINT for o in outcomes for e in o.entries
+        e.bound_source == USER_HINT for o in outcomes for e in o.inequalities
     )
     note = (
         "margins net of quadrature error; bounds user-certified"

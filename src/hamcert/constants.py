@@ -35,16 +35,6 @@ class ConstantResult:
     quad_error: float
     window: tuple[float, float]
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "constant": self.constant,
-            "extremal_integral": self.extremal_integral,
-            "t_star": self.t_star,
-            "quad_error": self.quad_error,
-            "window": list(self.window),
-        }
-
 
 @dataclass(frozen=True, slots=True)
 class ComponentConstants:
@@ -52,14 +42,6 @@ class ComponentConstants:
     m_star: ConstantResult
     M: ConstantResult
     M_star: ConstantResult
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m.as_dict(),
-            "m_star": self.m_star.as_dict(),
-            "M": self.M.as_dict(),
-            "M_star": self.M_star.as_dict(),
-        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,9 +52,6 @@ class ConstantsTable:
     @property
     def components(self) -> tuple[ComponentConstants, ComponentConstants]:
         return (self.comp1, self.comp2)
-
-    def as_dict(self) -> dict:
-        return {"component_1": self.comp1.as_dict(), "component_2": self.comp2.as_dict()}
 
 
 def _integral_of_abs(comp: Component, use_derivative: bool):

@@ -130,9 +130,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                         j += 1
             lit = text[i:j]
             try:
-                float(lit)
+                finite = bool(np.isfinite(float(lit)))
             except ValueError:
-                raise ExprSyntaxError(f"bad numeric literal {lit!r}", _byte_offset(text, i)) from None
+                finite = False
+            if not finite:
+                raise ExprSyntaxError(f"bad numeric literal {lit!r}", _byte_offset(text, i))
             tokens.append(("num", lit, i))
             i = j
             continue

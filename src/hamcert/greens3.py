@@ -20,7 +20,7 @@ from .exprlang import Expr
 from .model import (
     AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s, window_integrals,
 )
-from .quadopt import integrate
+from .quadopt import _SCAN_BLOCK, integrate
 
 
 class ParamError(ValueError):
@@ -237,8 +237,8 @@ def verify_bvp(
     the three boundary conditions are evaluated directly.  Raises
     ResidualTooLarge when a residual exceeds its tolerance.
     """
-    if n_grid < 101 or n_grid % 2 == 0:
-        raise ValueError("n_grid must be odd and at least 101")
+    if not 101 <= n_grid <= _SCAN_BLOCK or n_grid % 2 == 0:
+        raise ValueError(f"n_grid must be odd and between 101 and {_SCAN_BLOCK}")
     alpha, eta = params.alpha, params.eta
     ts = np.linspace(0.0, 1.0, n_grid)
     step = ts[1] - ts[0]

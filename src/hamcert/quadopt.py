@@ -72,7 +72,7 @@ _SCAN_BLOCK = 1 << 22
 
 
 class QuadratureFailure(Exception):
-    """Subdivision cap reached before the tolerance; carries the best value."""
+    """Subdivision cap reached or a panel not finite; carries the best value."""
 
     def __init__(self, message: str, value: float, error_bound: float, subdivisions: int):
         super().__init__(message)
@@ -137,7 +137,7 @@ def integrate(
     ``breakpoints`` are interior abscissas where the integrand may lose
     smoothness; panels never straddle them.  Raises QuadratureFailure (still
     carrying the best value and achieved error) once ``max_panels`` panels
-    would be exceeded.
+    would be exceeded, or as soon as a panel's value or error is not finite.
     """
     if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
@@ -159,6 +159,9 @@ def integrate(
 
     while True:
         total_err = float(errs.sum())
+        if not math.isfinite(total_err):  # so is any panel whose value is not finite
+            raise QuadratureFailure("non-finite panel value or error estimate",
+                                    float(vals.sum()), total_err, len(lo_arr))
         if total_err <= tol:
             return QuadResult(float(vals.sum()), total_err, len(lo_arr))
         widths = hi_arr - lo_arr
@@ -241,6 +244,8 @@ def extremize(
 
 def box_axes(box: Sequence[tuple[float, float]], n: int) -> list[np.ndarray]:
     """Sample points per box interval: ``n`` uniform points, or one if pinned."""
+    if n > _SCAN_BLOCK:
+        raise ValueError(f"at most {_SCAN_BLOCK} points per axis, got {n}")
     axes = []
     for lo, hi in box:
         if lo > hi:

@@ -167,7 +167,7 @@ def test_criterion_4_certification_end_to_end(sign_changing, sign_table, third_o
     try:
         # the bundled ladder's rho2 = 20000 is far below 279936*M2 ~ 6.9e7
         low = certify(hatted, Scenario.S2_HAT, third_order.check.ladder, third_table)
-        failing = [e.name for o in low.outcomes for e in o.entries if e.verdict is Verdict.FAILS]
+        failing = [e.name for o in low.outcomes for e in o.inequalities if e.verdict is Verdict.FAILS]
         if low.verdict is not Verdict.FAILS or failing != ["inf f2/rho2 > M2"]:
             problems.append(
                 "third-order hatted S2 at the bundled ladder expected FAILS on "
@@ -176,7 +176,7 @@ def test_criterion_4_certification_end_to_end(sign_changing, sign_table, third_o
         high = certify(
             hatted, Scenario.S2_HAT, ((0.2, 0.04), (400000.0, 7e7)), third_table
         )
-        sources = [e.bound_source for o in high.outcomes for e in o.entries]
+        sources = [e.bound_source for o in high.outcomes for e in o.inequalities]
         if high.verdict is not Verdict.HOLDS or not high.rigorous or sources != [USER_HINT] * 6:
             problems.append(
                 "third-order hatted S2 at rho2 = 7e7 expected rigorous HOLDS with six "

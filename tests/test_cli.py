@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from hamcert import solver
+from hamcert import conditions, greens3, quadopt, solver
 from hamcert.cli import ProblemFileError, load_problem, main
 from hamcert.conditions import Scenario
 from hamcert.model import ConeVariant
@@ -266,3 +266,113 @@ def test_grid_below_two_is_rejected(grid, capsys):
         main(["certify", bundled_path("sign_changing.prob"), "--grid", grid])
     assert exc.value.code != 0
     assert "--grid: expected an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1", "tight"])
+def test_tol_must_be_finite_and_positive(tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", bundled_path("sign_changing.prob"), "--tol", tol])
+    assert exc.value.code == 1
+    assert "argument --tol: expected a finite number > 0" in capsys.readouterr().err
+
+
+def test_literal_that_overflows_is_a_file_error(tmp_path, sign_text, capsys):
+    path = _write(tmp_path, sign_text.replace("tol = 1e-10", "tol = 1e400", 1))
+    assert main(["solve", path]) == 1
+    assert "bad numeric literal '1e400'" in capsys.readouterr().err
+
+
+OVER_CAP = str(quadopt._SCAN_BLOCK + 1)  # odd, so only the cap rejects it
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("worked on an over-resolved grid")
+
+
+@pytest.mark.parametrize("command,key", [
+    ("certify", "resolution"), ("nonexistence", "nonexistence_resolution"),
+])
+def test_scan_resolution_above_the_cap_exits_one(command, key, tmp_path, sign_text,
+                                                   monkeypatch, capsys):
+    monkeypatch.setattr(quadopt, "grid_extremum", _no_work)
+    monkeypatch.setattr(conditions, "grid_extremum", _no_work)
+    src = bundled_path("sign_changing.prob")
+    assert main([command, src, "--grid", OVER_CAP]) == 1
+    over_file = _write(tmp_path, re.sub(rf"(?m)^{key} = \d+$", f"{key} = {OVER_CAP}", sign_text))
+    assert main([command, over_file]) == 1
+    err = capsys.readouterr().err
+    assert err.count(f"at most {quadopt._SCAN_BLOCK} points per axis, got {OVER_CAP}") == 2
+
+
+def test_green_check_grid_above_the_cap_exits_one(monkeypatch, capsys):
+    monkeypatch.setattr(greens3, "integrate", _no_work)
+    assert main(["green-check", bundled_path("third_order.prob"), "--grid", OVER_CAP]) == 1
+    assert f"between 101 and {quadopt._SCAN_BLOCK}" in capsys.readouterr().err
+
+
+# The report of each command, as nested key paths (list elements are
+# transparent); every report also has command, problem and schema.
+# green-check on sign_changing is an error and writes none.
+_ITEMS = ("items", "items.location", "items.name", "items.passed", "items.worst_violation",
+          "name", "note", "passed")
+_CERTIFICATE = (
+    "certificate", "certificate.alternatives", "certificate.annuli", "certificate.ladder",
+    "certificate.note", "certificate.outcomes", "certificate.rigorous",
+    "certificate.scenario", "certificate.solution_count", "certificate.verdict",
+)
+REPORT_KEYS = {
+    "assumptions": ("passed", "reports", *(f"reports.{k}" for k in _ITEMS)),
+    "constants": (
+        "constants", "constants.constant", "constants.extremal_integral", "constants.name",
+        "constants.quad_error", "constants.reciprocal", "constants.t_star", "constants.window",
+    ),
+    "certify": (
+        *_CERTIFICATE, "certificate.outcomes.condition", "certificate.outcomes.inequalities",
+        "certificate.outcomes.rho", "certificate.outcomes.verdict",
+        *(f"certificate.outcomes.inequalities.{k}" for k in (
+            "bound_source", "epsilon", "grid_value", "lhs", "margin", "name", "rhs",
+            "verdict", "witness")),
+    ),
+    "nonexistence": (
+        *_CERTIFICATE, "certificate.alternatives.holds", "certificate.alternatives.name",
+        "certificate.alternatives.samples", "certificate.alternatives.witness",
+        "certificate.alternatives.worst_margin",
+    ),
+    "solve": (
+        "annuli", "annuli.inner", "annuli.localized", "annuli.outer",
+        "cone", "cone.checks", "cone.checks.name", "cone.checks.passed", "cone.checks.slack",
+        "cone.passed", "cone.tolerance", "converged", "derivative_consistency", "iterations",
+        "n", "norms", "norms.du_C", "norms.dv_C", "norms.u_C", "norms.u_C1", "norms.v_C",
+        "norms.v_C1", "residual", "residual_source", "tol",
+    ),
+    "green-check": (
+        "components", "components.alpha", "components.bvp", "components.component",
+        "components.eta", "components.properties", "passed",
+        *(f"components.bvp.{k}" for k in (
+            "bc_at_zero", "bc_slope_at_zero", "bc_three_point", "h", "n_grid",
+            "ode_residual", "ode_worst_node", "passed")),
+        *(f"components.properties.{k}" for k in _ITEMS),
+    ),
+}
+
+
+def _key_paths(node, prefix=""):
+    if isinstance(node, list):
+        return set().union(*(_key_paths(v, prefix) for v in node))
+    if not isinstance(node, dict):
+        return set()
+    return {p for k, v in node.items() for p in (prefix + k, *_key_paths(v, f"{prefix}{k}."))}
+
+
+@pytest.mark.parametrize("name", ["sign_changing.prob", "third_order.prob"])
+@pytest.mark.parametrize("command", sorted(REPORT_KEYS))
+def test_report_key_tree(command, name, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    grid = ["--grid", "9"] if command in ("certify", "nonexistence") else []
+    main([command, bundled_path(name), *grid, "--hints", "ignore", "--no-meta", "--out", str(out)])
+    capsys.readouterr()
+    if command == "green-check" and name == "sign_changing.prob":
+        assert not out.exists()
+        return
+    keys = _key_paths(json.loads(out.read_text()))
+    assert keys == {"command", "problem", "schema", *REPORT_KEYS[command]}

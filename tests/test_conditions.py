@@ -144,34 +144,34 @@ def test_missing_hint_policies(sign_changing):
 def test_index_one_condition_holds_at_small_radii(sign_changing, sign_table):
     out = check_I1(sign_changing.problem, 0.03, 0.3, sign_table)
     assert out.verdict is Verdict.HOLDS
-    names = [e.name for e in out.entries]
+    names = [e.name for e in out.inequalities]
     assert names == ["sup f1/rho1 < min(m1, m1*)", "sup f2/rho2 < min(m2, m2*)"]
-    for e in out.entries:
+    for e in out.inequalities:
         assert e.bound_source == USER_HINT
         assert e.margin > e.epsilon
     # second entry is the binding one: 6*0.3 = 1.8 against min = 20/11
-    assert out.entries[1].rhs == pytest.approx(20 / 11, rel=1e-9)
-    assert out.entries[1].margin == pytest.approx(20 / 11 - 1.8, rel=1e-6)
+    assert out.inequalities[1].rhs == pytest.approx(20 / 11, rel=1e-9)
+    assert out.inequalities[1].margin == pytest.approx(20 / 11 - 1.8, rel=1e-6)
 
 
 def test_index_one_condition_fails_at_unit_radii(sign_changing, sign_table):
     out = check_I1(sign_changing.problem, 1.0, 1.0, sign_table)
     assert out.verdict is Verdict.FAILS
-    assert out.entries[0].lhs == pytest.approx(6.0)
-    assert out.entries[0].margin < 0
+    assert out.inequalities[0].lhs == pytest.approx(6.0)
+    assert out.inequalities[0].margin < 0
 
 
 def test_index_zero_condition_holds_at_large_radii(sign_changing, sign_table):
     out = check_I0(sign_changing.problem, 700.0, 600.0, sign_table)
     assert out.verdict is Verdict.HOLDS
-    names = [e.name for e in out.entries]
+    names = [e.name for e in out.inequalities]
     assert names == [
         "inf f1/rho1 > M1",
         "inf* f1/rho1 > M1*",
         "inf f2/rho2 > M2",
         "inf* f2/rho2 > M2*",
     ]
-    lhs = [e.lhs for e in out.entries]
+    lhs = [e.lhs for e in out.inequalities]
     assert lhs[0] == pytest.approx(9 / 16 * 700, rel=1e-12)
     assert lhs[1] == pytest.approx(49 / 324 * 700, rel=1e-12)
     assert lhs[2] == pytest.approx(9 / 16 * 600, rel=1e-12)
@@ -197,8 +197,8 @@ def test_grid_sup_never_certifies(sign_changing, sign_table):
     comp2 = _with_f(sign_changing.problem.comp2, "0")
     spiked = dataclasses.replace(sign_changing.problem, comp1=comp1, comp2=comp2)
     out = check_I1(spiked, 0.5, 0.5, sign_table)
-    assert out.entries[0].lhs < 1.0  # the grid misses the spike
-    assert out.entries[0].verdict is Verdict.INCONCLUSIVE
+    assert out.inequalities[0].lhs < 1.0  # the grid misses the spike
+    assert out.inequalities[0].verdict is Verdict.INCONCLUSIVE
     assert out.verdict is Verdict.INCONCLUSIVE
 
 

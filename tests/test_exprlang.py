@@ -91,6 +91,12 @@ def test_syntax_errors_carry_byte_offsets(text):
         parse(text, ("a", "b"))
 
 
+@pytest.mark.parametrize("text", ["1e400", "2 * 1e309", "s + 9e99999"])
+def test_literals_that_overflow_are_rejected(text):
+    with pytest.raises(ExprSyntaxError, match=r"bad numeric literal .*byte offset"):
+        parse(text, ("s",))
+
+
 def test_unknown_function():
     with pytest.raises(UnknownFunctionError, match="foo"):
         parse("foo(1)", ())

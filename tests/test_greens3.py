@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import exprlang
+from hamcert import exprlang, greens3, quadopt
 from hamcert.greens3 import (
     GreenParams,
     ParamError,
@@ -176,11 +176,18 @@ def test_bvp_residual_gate():
     assert 0.0 <= exc.value.worst_node <= 1.0
 
 
-def test_bvp_grid_validation():
+def test_bvp_grid_validation(monkeypatch):
     with pytest.raises(ValueError):
         verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=100)
     with pytest.raises(ValueError):
         verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=51)
+
+    def no_integrals(*args, **kwargs):
+        raise AssertionError("integrated on an over-resolved grid")
+
+    monkeypatch.setattr(greens3, "integrate", no_integrals)
+    with pytest.raises(ValueError, match="between 101 and"):
+        verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=quadopt._SCAN_BLOCK + 1)
 
 
 valid_params = st.tuples(

@@ -55,6 +55,19 @@ def test_divergent_integrand_raises():
         integrate(lambda s: 1.0 / s, 0.0, 1.0, max_panels=512)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_panels_raise(value):
+    calls = []
+
+    def fn(s):
+        calls.append(1)
+        assert len(calls) < 50, "integrate kept subdividing"
+        return np.where(s > 0.3, value, 1.0)
+
+    with pytest.raises(QuadratureFailure, match="non-finite"), np.errstate(invalid="ignore"):
+        integrate(fn, 0.0, 1.0)
+
+
 def test_extremize_sine():
     top = extremize(lambda x: math.sin(3 * math.pi * x), 0.0, 1.0, mode="max")
     assert top.value == pytest.approx(1.0, abs=1e-9)
@@ -206,6 +219,8 @@ def test_box_extremum_rejects_bad_input():
         box_extremum_with_witness(lambda x: x, [(0.0, 1.0)], n_per_axis=1)
     with pytest.raises(ValueError, match="bad box interval"):
         box_extremum_with_witness(lambda x: x, [(1.0, 0.0)])
+    with pytest.raises(ValueError, match="points per axis"):
+        quadopt.box_axes([(0.0, 1.0)], quadopt._SCAN_BLOCK + 1)
 
 
 @settings(max_examples=40, deadline=None)
