@@ -559,6 +559,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
     sections = []
     n_grid = args.grid if args.grid is not None else 2001
     ode_tol = args.tol if args.tol is not None else 1e-4
+    greens3.check_bvp_grid(n_grid)
     for i, params in enumerate(loaded.green_params):
         if params is None:
             continue
@@ -629,23 +630,41 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_OPTIONS = {
+    "--grid": {"type": _grid_size, "help": "override the command's resolution"},
+    "--tol": {"type": _tolerance, "help": "override the command's tolerance"},
+    "--hints": {
+        "choices": [p.value for p in HintPolicy], "default": "allow",
+        "help": "how to treat user bound hints during certification",
+    },
+    "--table": {"help": "write the nodal table (TSV) here"},
+}
+# The options each command reads; any other is a usage error.
+_COMMAND_OPTIONS = {
+    "assumptions": (),
+    "constants": (),
+    "certify": ("--grid", "--hints"),
+    "nonexistence": ("--grid",),
+    "solve": ("--grid", "--tol", "--table"),
+    "green-check": ("--grid", "--tol"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="hamcert",
         description="certify and solve two-component Hammerstein systems with "
         "derivative-dependent nonlinearities",
     )
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("file", help="problem file (schema = 1)")
-    parser.add_argument("--out", help="write a machine-readable JSON report here")
-    parser.add_argument("--tol", type=_tolerance, default=None, help="override the command's tolerance")
-    parser.add_argument("--grid", type=_grid_size, default=None, help="override the command's resolution")
-    parser.add_argument("--no-meta", action="store_true", help="omit the metadata block for byte-identical reports")
-    parser.add_argument(
-        "--hints", choices=[p.value for p in HintPolicy], default="allow",
-        help="how to treat user bound hints during certification",
-    )
-    parser.add_argument("--table", help="solve: write the nodal table (TSV) here")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name in sorted(_COMMANDS):
+        sub = commands.add_parser(name)
+        sub.add_argument("file", help="problem file (schema = 1)")
+        sub.add_argument("--out", help="write a machine-readable JSON report here")
+        sub.add_argument("--no-meta", action="store_true",
+                         help="omit the metadata block for byte-identical reports")
+        for option in _COMMAND_OPTIONS[name]:
+            sub.add_argument(option, **_OPTIONS[option])
     return parser
 
 

@@ -57,31 +57,47 @@ class ResidualReport:
     n_grid: int
 
 
-def _kernel_branches(alpha: float, eta: float, t, s):
-    """The four polynomial pieces of k, each divided by 2(1 - alpha*eta).
+def _kernel_branches(alpha: float, eta: float):
+    """The four polynomial pieces of k as functions of (t, s), each divided by 2(1 - alpha*eta).
 
     Order: s below both t and eta; t <= s <= eta; eta <= s <= t; s above both.
     """
     one = 1.0 - alpha * eta
-    b1 = (2 * t * s - s**2) * one + t**2 * s * (alpha - 1.0)
-    b2 = t**2 * one + t**2 * s * (alpha - 1.0)
-    b3 = (2 * t * s - s**2) * one + t**2 * (alpha * eta - s)
-    b4 = t**2 * (1.0 - s)
-    return tuple(b / (2.0 * one) for b in (b1, b2, b3, b4))
+    return (lambda t, s: ((2 * t * s - s**2) * one + t**2 * s * (alpha - 1.0)) / (2.0 * one),
+            lambda t, s: (t**2 * one + t**2 * s * (alpha - 1.0)) / (2.0 * one),
+            lambda t, s: ((2 * t * s - s**2) * one + t**2 * (alpha * eta - s)) / (2.0 * one),
+            lambda t, s: t**2 * (1.0 - s) / (2.0 * one))
 
 
-def _derivative_branches(alpha: float, eta: float, t, s):
-    """The four pieces of dk/dt, each divided by (1 - alpha*eta)."""
+def _derivative_branches(alpha: float, eta: float):
+    """The four pieces of dk/dt as functions of (t, s), each divided by (1 - alpha*eta)."""
     one = 1.0 - alpha * eta
-    b1 = s * one + t * s * (alpha - 1.0)
-    b2 = t * one + t * s * (alpha - 1.0)
-    b3 = s * one + t * (alpha * eta - s)
-    b4 = t * (1.0 - s)
-    return tuple(b / one for b in (b1, b2, b3, b4))
+    return (lambda t, s: (s * one + t * s * (alpha - 1.0)) / one,
+            lambda t, s: (t * one + t * s * (alpha - 1.0)) / one,
+            lambda t, s: (s * one + t * (alpha * eta - s)) / one,
+            lambda t, s: t * (1.0 - s) / one)
+
+
+def _single_branch(eta: float, t: np.ndarray, s: np.ndarray) -> int | None:
+    """Index of the branch that _select_branch picks for every (t, s) pair, if there is one."""
+    if not (t.size and s.size):
+        return None
+    first, last, t0 = s.item(0), s.item(-1), t.item(0)
+    if (first <= eta) != (last <= eta) or (first <= t0) != (last <= t0):
+        return None  # s straddles the seam s = eta or s = t0: no single branch
+    s_lo, s_hi, t_lo, t_hi = s.min(), s.max(), t.min(), t.max()
+    if (s_hi <= eta or eta < s_lo) and (s_hi <= t_lo or t_hi < s_lo):
+        return int(2 * (eta < s_lo) + (t_lo < s_hi))  # which side of eta, then of t
+    return None
 
 
 def _select_branch(branches, eta: float, t, s):
-    b1, b2, b3, b4 = branches
+    t = np.asarray(t, dtype=float)
+    s = np.asarray(s, dtype=float)
+    only = _single_branch(eta, t, s)
+    if only is not None:
+        return np.asarray(branches[only](t, s))  # an array even for 0-d input, as np.select
+    b1, b2, b3, b4 = [b(t, s) for b in branches]
     return np.select(
         [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
         [b1, b2, b3],
@@ -90,25 +106,22 @@ def _select_branch(branches, eta: float, t, s):
 
 
 def _kernel_value(alpha: float, eta: float, t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return _select_branch(_kernel_branches(alpha, eta, t, s), eta, t, s)
+    return _select_branch(_kernel_branches(alpha, eta), eta, t, s)
 
 
 def _kernel_derivative(alpha: float, eta: float, t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    return _select_branch(_derivative_branches(alpha, eta, t, s), eta, t, s)
+    return _select_branch(_derivative_branches(alpha, eta), eta, t, s)
 
 def build_kernel(params: GreenParams) -> KernelSpec:
     """Kernel spec for the family; s-breakpoints at s = t and s = eta."""
     alpha, eta = params.alpha, params.eta
+    k_pieces, dk_pieces = _kernel_branches(alpha, eta), _derivative_branches(alpha, eta)
 
     def k(t, s):
-        return _kernel_value(alpha, eta, t, s)
+        return _select_branch(k_pieces, eta, t, s)
 
     def dk(t, s):
-        return _kernel_derivative(alpha, eta, t, s)
+        return _select_branch(dk_pieces, eta, t, s)
 
     def breakpoints(t: float) -> tuple[float, ...]:
         pts = {eta}
@@ -160,11 +173,11 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
     t_hi = np.linspace(eta, 1.0, n)
     eta_arr = np.full(n, eta)
     jump = 0.0
-    for pieces in (_kernel_branches, _derivative_branches):
-        below = pieces(alpha, eta, t_lo, t_lo)
-        at_eta_lo = pieces(alpha, eta, t_lo, eta_arr)
-        at_eta_hi = pieces(alpha, eta, t_hi, eta_arr)
-        above = pieces(alpha, eta, t_hi, t_hi)
+    for pieces in (_kernel_branches(alpha, eta), _derivative_branches(alpha, eta)):
+        below = [b(t_lo, t_lo) for b in pieces]
+        at_eta_lo = [b(t_lo, eta_arr) for b in pieces]
+        at_eta_hi = [b(t_hi, eta_arr) for b in pieces]
+        above = [b(t_hi, t_hi) for b in pieces]
         for left, right in (
             (below[0], below[1]),        # s = t with t <= eta
             (at_eta_lo[1], at_eta_lo[3]),  # s = eta with t <= eta
@@ -223,6 +236,12 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
     )
 
 
+def check_bvp_grid(n_grid: int) -> None:
+    """Reject a verify_bvp grid that is even, below 101 or above _SCAN_BLOCK nodes."""
+    if not 101 <= n_grid <= _SCAN_BLOCK or n_grid % 2 == 0:
+        raise ValueError(f"n_grid must be odd and between 101 and {_SCAN_BLOCK}")
+
+
 def verify_bvp(
     params: GreenParams,
     h: Expr,
@@ -237,17 +256,17 @@ def verify_bvp(
     the three boundary conditions are evaluated directly.  Raises
     ResidualTooLarge when a residual exceeds its tolerance.
     """
-    if not 101 <= n_grid <= _SCAN_BLOCK or n_grid % 2 == 0:
-        raise ValueError(f"n_grid must be odd and between 101 and {_SCAN_BLOCK}")
+    check_bvp_grid(n_grid)
     alpha, eta = params.alpha, params.eta
     ts = np.linspace(0.0, 1.0, n_grid)
     step = ts[1] - ts[0]
 
     h_at = function_of_s(h)
+    k_pieces, dk_pieces = _kernel_branches(alpha, eta), _derivative_branches(alpha, eta)
 
     def w_at(t: float) -> float:
         return integrate(
-            lambda s: _kernel_value(alpha, eta, np.array(t), s) * h_at(s),
+            lambda s: _select_branch(k_pieces, eta, np.array(t), s) * h_at(s),
             0.0,
             1.0,
             breakpoints=(t, eta),
@@ -255,7 +274,7 @@ def verify_bvp(
 
     def w_prime_at(t: float) -> float:
         return integrate(
-            lambda s: _kernel_derivative(alpha, eta, np.array(t), s) * h_at(s),
+            lambda s: _select_branch(dk_pieces, eta, np.array(t), s) * h_at(s),
             0.0,
             1.0,
             breakpoints=(t, eta),

@@ -6,7 +6,8 @@ its linear interpolant is integrated exactly against k*g (Atkinson, The
 Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4):
 each image is one matrix-vector product with n x n weights.  The weights
 are composite Gauss-7 sums over panels split at the grid nodes and the
-kernel breakpoints, and the last problem's weights are kept for reuse.
+kernel breakpoints, built in cache-sized row blocks, and the last problem's
+weights are kept for reuse.
 u' is iterated through the derivative kernel, not by differencing u.
 """
 
@@ -18,12 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quadopt
 from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
 
 # Most grid nodes a solve accepts: its four n x n float64 weight matrices
 # then take about 0.5 GB.
 MAX_NODES = 4001
+
+# Kernel values per row block of the weight build: its buffer and temporaries stay
+# cache-sized, where multi-MB ones are mapped and page-faulted anew for each block.
+_ROW_BLOCK = 1 << 16
 
 _FIELDS = ("u", "du", "v", "dv")  # the nodal arrays of a GridPair
 
@@ -112,9 +116,10 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     Entry (i, j) is the integral of k(t_i, s) g(s) against the hat function
     of node j, so K @ f integrates the linear interpolant of nodal f exactly
     against k*g.  The integrals are composite Gauss-7 sums over panels split
-    at the grid nodes and the kernel breakpoints; each quadrature node's term
-    is shared by the two hats whose support holds it.  Rows are built in
-    blocks of at most quadopt._SCAN_BLOCK kernel evaluations.
+    at the grid nodes and the kernel breakpoints.  A row block (at most _ROW_BLOCK
+    values, or one row) fills one reused buffer in column segments split at the
+    breakpoints of its first and last rows, one branch of a piecewise kernel each
+    off the diagonal, and is contracted with the hat weights of every panel.
     """
     grid = _uniform_grid(n)
     grid.flags.writeable = False
@@ -129,21 +134,31 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     s = (0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]).ravel()
     w = (half[:, None] * gl_w[None, :]).ravel()
     cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
-    frac = (s - grid[cell]) / (grid[cell + 1] - grid[cell])
-    starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel
-    rows = max(1, quadopt._SCAN_BLOCK // len(s))
+    frac = ((s - grid[cell]) / (grid[cell + 1] - grid[cell])).reshape(len(lo), 7)
+    starts = np.searchsorted(cell[::7], np.arange(n - 1))  # every cell holds a panel
+    rows = max(1, _ROW_BLOCK // len(s))
+    buf = np.empty((rows, len(s)))
     matrices = []
     for comp in problem.components:
-        gw = function_of_s(comp.weight)(s) * w
-        left, right = gw * (1.0 - frac), gw * frac
+        gw = (function_of_s(comp.weight)(s) * w).reshape(frac.shape)
+        hats = (gw * (1.0 - frac), gw * frac)
+        bps_at = comp.kernel.breakpoints
         pair = []
         for kern in (comp.kernel.k, comp.kernel.dk_dt):
             out = np.zeros((n, n))
             for r in range(0, n, rows):
                 t = grid[r:r + rows, None]
-                vals = np.broadcast_to(np.asarray(kern(t, s), dtype=float), (len(t), len(s)))
-                out[r:r + rows, :-1] = np.add.reduceat(vals * left, starts, axis=1)
-                out[r:r + rows, 1:] += np.add.reduceat(vals * right, starts, axis=1)
+                vals = buf[:len(t)]
+                seams = np.searchsorted(s, [*bps_at(t[0, 0]), *bps_at(t[-1, 0])])
+                cuts = np.unique(np.r_[0, seams, len(s)])
+                for a, b in zip(cuts[:-1], cuts[1:]):
+                    vals[:, a:b] = kern(t, s[a:b])
+                blocks = vals.reshape(len(t), len(lo), 7)
+                left, right = (np.einsum("rpq,pq->rp", blocks, hat) for hat in hats)
+                if len(lo) > n - 1:  # some cell holds several panels
+                    left, right = (np.add.reduceat(x, starts, axis=1) for x in (left, right))
+                out[r:r + rows, :-1] = left
+                out[r:r + rows, 1:] += right
             out.flags.writeable = False
             pair.append(out)
         matrices.append(tuple(pair))

@@ -310,6 +310,38 @@ def test_green_check_grid_above_the_cap_exits_one(monkeypatch, capsys):
     assert f"between 101 and {quadopt._SCAN_BLOCK}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", ["100", "99"])
+def test_green_check_rejects_its_grid_before_any_output(grid, monkeypatch, capsys):
+    monkeypatch.setattr(greens3, "check_kernel_properties", _no_work)
+    assert main(["green-check", bundled_path("third_order.prob"), "--grid", grid]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "n_grid must be odd and between 101" in err
+
+
+_UNREAD_FLAGS = [
+    ("assumptions", "--grid"), ("assumptions", "--tol"), ("assumptions", "--hints"),
+    ("assumptions", "--table"), ("constants", "--grid"), ("constants", "--tol"),
+    ("constants", "--hints"), ("constants", "--table"), ("certify", "--tol"),
+    ("certify", "--table"), ("nonexistence", "--tol"), ("nonexistence", "--hints"),
+    ("nonexistence", "--table"), ("solve", "--hints"), ("green-check", "--hints"),
+    ("green-check", "--table"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys):
+    value = {"--grid": "101", "--tol": "1", "--hints": "require",
+             "--table": str(tmp_path / "t.tsv")}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, bundled_path("third_order.prob"), flag, value])
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert not (tmp_path / "t.tsv").exists()
+
+
 # The report of each command, as nested key paths (list elements are
 # transparent); every report also has command, problem and schema.
 # green-check on sign_changing is an error and writes none.
@@ -369,7 +401,8 @@ def _key_paths(node, prefix=""):
 def test_report_key_tree(command, name, tmp_path, capsys):
     out = tmp_path / "report.json"
     grid = ["--grid", "9"] if command in ("certify", "nonexistence") else []
-    main([command, bundled_path(name), *grid, "--hints", "ignore", "--no-meta", "--out", str(out)])
+    hints = ["--hints", "ignore"] if command == "certify" else []
+    main([command, bundled_path(name), *grid, *hints, "--no-meta", "--out", str(out)])
     capsys.readouterr()
     if command == "green-check" and name == "sign_changing.prob":
         assert not out.exists()

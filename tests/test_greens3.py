@@ -58,6 +58,60 @@ def test_kernel_vectorized():
     assert np.all(k >= -1e-15)
 
 
+def _select_reference(pieces, eta, t, s):
+    """All four branches at every pair, one kept by np.select: the reference."""
+    b1, b2, b3, b4 = (b(t, s) for b in pieces)
+    return np.select(
+        [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
+        [b1, b2, b3],
+        default=b4,
+    )
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_single_branch_evaluation_matches_select_bit_for_bit(params):
+    alpha, eta = params.alpha, params.eta
+    rng = np.random.default_rng(3)
+    x, y = eta / 2, (1 + eta) / 2  # split points below and above eta
+
+    def draw(lo, hi, *seams):
+        return np.concatenate([rng.uniform(lo, hi, 30), seams])
+
+    def above(v):
+        return np.nextafter(v, 2.0)
+
+    # (branch, t, s): every pair in that branch, seams s = t and s = eta included;
+    # None marks sets whose pairs span two branches, so np.select must decide
+    cases = [
+        (0, draw(eta, 1, eta, 1.0), draw(0, eta, 0.0, eta)),
+        (0, draw(x, 1, x), draw(0, x, x)),
+        (1, draw(0, x, 0.0, x), draw(above(x), eta, above(x), eta)),
+        (2, draw(y, 1, y, 1.0), draw(above(eta), y, above(eta), y)),
+        (3, draw(0, y, 0.0, y), draw(above(y), 1, above(y), 1.0)),
+        (None, draw(0, 1, eta), draw(0, 1, eta)),
+        (None, draw(x, 1), draw(0, eta, 1.0, 0.0)),  # s straddles eta inside, not at its ends
+        (None, draw(0, 1, 0.0), draw(0, x, x)),
+        # one pair on a seam that np.select gives to the neighbouring branch
+        (None, draw(0, x, x), draw(x, eta, x, eta)),
+        (None, draw(y, 1, y), draw(eta, y, eta, y)),
+        (None, draw(y, 1, y), draw(above(eta), y, above(eta), above(y))),
+        (None, draw(0, y, y), draw(y, 1, y, 1.0)),
+    ]
+    for branch, t, s in cases:
+        t0, s0 = np.array(t[0]), np.array(s[0])
+        for tt, ss in ((t[:, None], s[None, :]), (t0, s), (t0, s0)):
+            if tt.ndim == 2:
+                assert greens3._single_branch(eta, tt, ss) == branch
+            for value, pieces in (
+                (greens3._kernel_value, greens3._kernel_branches(alpha, eta)),
+                (greens3._kernel_derivative, greens3._derivative_branches(alpha, eta)),
+            ):
+                got = value(alpha, eta, tt, ss)
+                want = _select_reference(pieces, eta, tt, ss)
+                assert type(got) is type(want) and got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_kernel_property_items(params):
     report = check_kernel_properties(params)

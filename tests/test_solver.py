@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hamcert import exprlang, quadopt
+from hamcert import exprlang, solver
 from hamcert.model import NONLIN_VARS, BoundHints
 from hamcert.solver import (
     MAX_NODES,
@@ -133,11 +134,25 @@ def test_weight_memo_holds_one_problem(sign_changing, third_order):
 
 @pytest.mark.parametrize("block", [1, 700, 5000])
 def test_row_blocks_do_not_change_the_weights(block, third_order, monkeypatch):
+    monkeypatch.setattr(solver, "_ROW_BLOCK", 1 << 22)  # all 101 rows in one block
     whole = _discretize.__wrapped__(third_order.problem, 101)
-    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(solver, "_ROW_BLOCK", block)
     blocked = _discretize.__wrapped__(third_order.problem, 101)
     for a, b in zip(whole.matrices, blocked.matrices):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+def test_weight_build_memory_is_bounded_by_the_row_block(third_order):
+    _discretize.__wrapped__(third_order.problem, 101)  # first-call imports
+    tracemalloc.start()
+    try:
+        weights = _discretize.__wrapped__(third_order.problem, 401)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(m.nbytes for pair in weights.matrices for m in pair)
+    assert outputs == 4 * 401 * 401 * 8
+    assert peak - outputs < 4_000_000
 
 
 def test_state_independent_nonlinearity_is_idempotent(sign_changing):
