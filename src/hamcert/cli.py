@@ -164,17 +164,18 @@ def _expr(entry: _Entry, variables: tuple[str, ...], path: str):
         raise ProblemFileError(str(exc), path, entry.line, entry.col) from exc
 
 
-def _pair(entry: _Entry, path: str) -> tuple[float, float]:
+def _pair(entry: _Entry, path: str, what: str) -> tuple[float, float]:
+    """Two positive comma-separated values; ``what`` names them in the error."""
     parts = entry.value.split(",")
     if len(parts) != 2:
         raise ProblemFileError(
             f"expected two comma-separated values, got {entry.value!r}",
             path, entry.line, entry.col,
         )
-    return (
-        _const(_Entry(parts[0].strip(), entry.line, entry.col), path),
-        _const(_Entry(parts[1].strip(), entry.line, entry.col), path),
-    )
+    pair = tuple(_const(_Entry(p.strip(), entry.line, entry.col), path) for p in parts)
+    if pair[0] <= 0 or pair[1] <= 0:
+        raise ProblemFileError(f"{what} must be positive, got {pair}", path, entry.line, entry.col)
+    return pair
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,16 +234,6 @@ def _build_component(
         except greens3.ParamError as exc:
             raise ProblemFileError(str(exc), path, kentry.line, kentry.col) from exc
         kernel = greens3.build_kernel(params)
-        envelope = greens3.default_envelope(params)
-        overrides = {}
-        for key in _ENVELOPE_KEYS:
-            if key in sec:
-                if key in ("phi", "psi"):
-                    overrides[key] = _expr(sec[key], ("s",), path)
-                else:
-                    overrides[key] = _const(sec[key], path)
-        if overrides:
-            envelope = dataclasses.replace(envelope, **overrides)
     else:
         if "kernel_dt" not in sec:
             raise ProblemFileError(
@@ -258,21 +249,21 @@ def _build_component(
                 f"[{name}] with an expression kernel must declare {', '.join(missing)}",
                 path, kentry.line,
             )
-        envelope = Envelope(
-            phi=_expr(sec["phi"], ("s",), path),
-            psi=_expr(sec["psi"], ("s",), path),
-            a=_const(sec["a"], path),
-            b=_const(sec["b"], path),
-            c=_const(sec["c"], path),
-            gamma=_const(sec["gamma"], path),
-            delta=_const(sec["delta"], path),
-            d=_const(sec["d"], path),
-        )
-    hints = BoundHints(
-        sup=_expr(sec["sup_hint"], HINT_VARS, path) if "sup_hint" in sec else None,
-        inf_plain=_expr(sec["inf_plain_hint"], HINT_VARS, path) if "inf_plain_hint" in sec else None,
-        inf_star=_expr(sec["inf_star_hint"], HINT_VARS, path) if "inf_star_hint" in sec else None,
-    )
+    # a green kernel's keys override its default envelope; an expression kernel has all
+    present = {
+        key: _expr(sec[key], ("s",), path) if key in ("phi", "psi") else _const(sec[key], path)
+        for key in _ENVELOPE_KEYS
+        if key in sec
+    }
+    if params is not None:
+        envelope = dataclasses.replace(greens3.default_envelope(params), **present)
+    else:
+        envelope = Envelope(**present)
+    hints = BoundHints(**{
+        key.removesuffix("_hint"): _expr(sec[key], HINT_VARS, path)
+        for key in _HINT_KEYS
+        if key in sec
+    })
     component = Component(
         kernel=kernel,
         envelope=envelope,
@@ -322,14 +313,10 @@ def load_problem(path: str) -> LoadedProblem:
             raise ProblemFileError(
                 f"unknown scenario {entry.value!r}", path, entry.line, entry.col
             ) from None
-    ladder = []
-    for rung in ("rho", "r", "s", "sigma"):
-        if rung in check_sec:
-            pair = _pair(check_sec[rung], path)
-            if pair[0] <= 0 or pair[1] <= 0:
-                e = check_sec[rung]
-                raise ProblemFileError(f"radii must be positive, got {pair}", path, e.line, e.col)
-            ladder.append(pair)
+    ladder = [
+        _pair(check_sec[rung], path, "radii") for rung in ("rho", "r", "s", "sigma")
+        if rung in check_sec
+    ]
     if scenario is not None and scenario is not Scenario.NONEXISTENCE:
         need = len(_SCENARIOS[scenario][0])
         if len(ladder) != need:
@@ -340,10 +327,7 @@ def load_problem(path: str) -> LoadedProblem:
             )
     box = (10.0, 10.0)
     if "nonexistence_box" in check_sec:
-        box = _pair(check_sec["nonexistence_box"], path)
-        if box[0] <= 0 or box[1] <= 0:
-            e = check_sec["nonexistence_box"]
-            raise ProblemFileError(f"box bounds must be positive, got {box}", path, e.line, e.col)
+        box = _pair(check_sec["nonexistence_box"], path, "box bounds")
     check = CheckConfig(
         scenario=scenario,
         ladder=tuple(ladder),
@@ -447,18 +431,14 @@ def _cmd_assumptions(loaded: LoadedProblem, args) -> tuple[int, dict]:
     problem = loaded.problem
     reports: list[AssumptionReport] = []
     for i, comp in enumerate(problem.components):
-        rep = verify_A3(comp)
-        reports.append(dataclasses.replace(rep, name=f"component {i + 1}: {rep.name}"))
-        rep = verify_A4(comp)
-        reports.append(dataclasses.replace(rep, name=f"component {i + 1}: {rep.name}"))
+        own = [verify_A3(comp), verify_A4(comp)]
         if comp.kernel.is_expression:
-            rep = check_kernel_derivative(comp.kernel)
-            reports.append(dataclasses.replace(rep, name=f"component {i + 1}: {rep.name}"))
+            own.append(check_kernel_derivative(comp.kernel))
         if problem.variant is not ConeVariant.SIGN_CHANGING:
             b1, b2 = loaded.check.nonexistence_box
             box = Box4.sup_box(b1, b2, problem.variant)
-            rep = verify_nonneg_f(comp, box.intervals())
-            reports.append(dataclasses.replace(rep, name=f"component {i + 1}: {rep.name}"))
+            own.append(verify_nonneg_f(comp, box.intervals()))
+        reports += [dataclasses.replace(r, name=f"component {i + 1}: {r.name}") for r in own]
     _print_reports(reports)
     passed = all(r.passed for r in reports)
     doc = {"command": "assumptions", "passed": passed, "reports": reports}
@@ -650,7 +630,8 @@ _COMMAND_OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name."""
     parser = _Parser(
         prog="hamcert",
         description="certify and solve two-component Hammerstein systems with "
@@ -665,11 +646,14 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="omit the metadata block for byte-identical reports")
         for option in _COMMAND_OPTIONS[name]:
             sub.add_argument(option, **_OPTIONS[option])
-    return parser
+    return parser, commands.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # the command's parser reports it, so the usage shows its options
+        commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         loaded = load_problem(args.file)
         code, doc = _COMMANDS[args.command](loaded, args)

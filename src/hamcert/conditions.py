@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -195,42 +196,57 @@ class Certificate:
     note: str = ""
 
 
-def _hint_value(expr, rho1: float, rho2: float) -> float:
-    return float(exprlang.evaluate(expr, {"rho1": rho1, "rho2": rho2}))
+# per mode: the sign that turns an inf comparison into the mirrored sup one,
+# and the wording of a hint the grid contradicts
+_MODES = {
+    "sup": (1.0, "below", "an upper bound cannot be smaller"),
+    "inf": (-1.0, "above", "a lower bound cannot be larger"),
+}
 
 
 def _bound(
     comp: Component,
-    mode: str,
-    hint_expr,
     hint_name: str,
-    t_window: tuple[float, float],
-    box: Box4,
-    normalizer: float,
+    role: str,
     rho1: float,
     rho2: float,
+    variant: ConeVariant,
     policy: HintPolicy,
     n: int,
+    cone_constants: tuple[float, float] | None = None,
 ) -> BoundEstimate:
+    """Bound f / rho_i over the box that ``hint_name`` names: the grid estimate or the hint.
+
+    "sup" is the sup over [0,1] x the full box; "inf-plain" and "inf-star" are
+    the infs over the pinned boxes of Box4.inf_box.  A hint is checked
+    against the grid, which can only refute it.
+    """
+    if rho1 <= 0 or rho2 <= 0:
+        raise ValueError("radii must be positive")
+    mode, _, which = hint_name.partition("-")
+    if mode == "sup":
+        t_window, box = (0.0, 1.0), Box4.sup_box(rho1, rho2, variant)
+    else:
+        env = comp.envelope
+        c, d = cone_constants if cone_constants is not None else (env.c, env.d)
+        t_window = (env.a, env.b) if which == "plain" else (env.gamma, env.delta)
+        box = Box4.inf_box(which, role, rho1, rho2, c, d, variant)
     grid_raw, witness = box_extremum_with_witness(
         nonlinearity(comp), (t_window, *box.intervals()), mode=mode, n_per_axis=n
     )
-    grid = grid_raw / normalizer
+    grid = grid_raw / (rho1 if role == "first" else rho2)
+    hint_expr = getattr(comp.hints, hint_name.replace("-", "_"))
     if policy is HintPolicy.IGNORE or hint_expr is None:
         if policy is HintPolicy.REQUIRE:
             raise HintMissing(f"hint policy 'require' but no {hint_name} hint supplied")
         return BoundEstimate(grid, GRID_ESTIMATE, grid, witness)
-    hint = _hint_value(hint_expr, rho1, rho2)
+    hint = float(exprlang.evaluate(hint_expr, {"rho1": rho1, "rho2": rho2}))
     tol = _HINT_RTOL * max(1.0, abs(hint), abs(grid))
-    if mode == "sup" and hint < grid - tol:
+    sign, side, reason = _MODES[mode]
+    if sign * hint < sign * grid - tol:
         raise HintInconsistent(
-            f"{hint_name} hint {hint!r} is below the grid sup estimate {grid!r} "
-            f"(grid witness {witness}); an upper bound cannot be smaller"
-        )
-    if mode == "inf" and hint > grid + tol:
-        raise HintInconsistent(
-            f"{hint_name} hint {hint!r} is above the grid inf estimate {grid!r} "
-            f"(grid witness {witness}); a lower bound cannot be larger"
+            f"{hint_name} hint {hint!r} is {side} the grid {mode} estimate {grid!r} "
+            f"(grid witness {witness}); {reason}"
         )
     return BoundEstimate(hint, USER_HINT, grid, witness)
 
@@ -245,22 +261,7 @@ def sup_f_rho(
     n: int = 17,
 ) -> BoundEstimate:
     """Upper bound for sup f/rho_i over [0,1] x the full radius box."""
-    if rho1 <= 0 or rho2 <= 0:
-        raise ValueError("radii must be positive")
-    normalizer = rho1 if role == "first" else rho2
-    return _bound(
-        comp,
-        "sup",
-        comp.hints.sup,
-        "sup",
-        (0.0, 1.0),
-        Box4.sup_box(rho1, rho2, variant),
-        normalizer,
-        rho1,
-        rho2,
-        policy,
-        n,
-    )
+    return _bound(comp, "sup", role, rho1, rho2, variant, policy, n)
 
 
 def inf_f_rho(
@@ -280,27 +281,7 @@ def inf_f_rho(
     star restricts t to [gamma,delta] and pins the derivative coordinate to
     [d rho, rho].
     """
-    if rho1 <= 0 or rho2 <= 0:
-        raise ValueError("radii must be positive")
-    env = comp.envelope
-    c, d = cone_constants if cone_constants is not None else (env.c, env.d)
-    t_window = (env.a, env.b) if which == "plain" else (env.gamma, env.delta)
-    box = Box4.inf_box(which, role, rho1, rho2, c, d, variant)
-    hint_expr = comp.hints.inf_plain if which == "plain" else comp.hints.inf_star
-    normalizer = rho1 if role == "first" else rho2
-    return _bound(
-        comp,
-        "inf",
-        hint_expr,
-        f"inf-{which}",
-        t_window,
-        box,
-        normalizer,
-        rho1,
-        rho2,
-        policy,
-        n,
-    )
+    return _bound(comp, f"inf-{which}", role, rho1, rho2, variant, policy, n, cone_constants)
 
 
 def _constant_error(result: ConstantResult) -> float:
@@ -308,35 +289,25 @@ def _constant_error(result: ConstantResult) -> float:
     return result.constant**2 * result.quad_error
 
 
-def _epsilon(lhs: float, rhs: float, rhs_error: float) -> float:
-    return 10.0 * rhs_error + 1e-12 * max(1.0, abs(lhs), abs(rhs))
+def _entry(
+    name: str, est: BoundEstimate, rhs: float, rhs_error: float, mode: str
+) -> InequalityEntry:
+    """sup: FAILS if grid >= rhs + eps, HOLDS if a hint < rhs - eps; inf mirrored.
 
-
-def _sup_entry(name: str, est: BoundEstimate, rhs: float, rhs_error: float) -> InequalityEntry:
-    eps = _epsilon(est.value, rhs, rhs_error)
-    if est.grid_value >= rhs + eps:
+    Negation is exact, so each inf comparison is the sup one bit for bit.
+    """
+    sign = _MODES[mode][0]
+    eps = 10.0 * rhs_error + 1e-12 * max(1.0, abs(est.value), abs(rhs))
+    if sign * est.grid_value >= sign * rhs + eps:
         verdict = Verdict.FAILS
-    elif est.bound_source == USER_HINT and est.value < rhs - eps:
+    elif est.bound_source == USER_HINT and sign * est.value < sign * rhs - eps:
         verdict = Verdict.HOLDS
     else:
         verdict = Verdict.INCONCLUSIVE
+    # not sign * (rhs - value): that is -0.0 at equality in inf mode
+    margin = sign * rhs - sign * est.value
     return InequalityEntry(
-        name, est.value, rhs, rhs - est.value, est.bound_source, verdict, eps,
-        est.grid_value, est.witness,
-    )
-
-
-def _inf_entry(name: str, est: BoundEstimate, rhs: float, rhs_error: float) -> InequalityEntry:
-    eps = _epsilon(est.value, rhs, rhs_error)
-    if est.grid_value <= rhs - eps:
-        verdict = Verdict.FAILS
-    elif est.bound_source == USER_HINT and est.value > rhs + eps:
-        verdict = Verdict.HOLDS
-    else:
-        verdict = Verdict.INCONCLUSIVE
-    return InequalityEntry(
-        name, est.value, rhs, est.value - rhs, est.bound_source, verdict, eps,
-        est.grid_value, est.witness,
+        name, est.value, rhs, margin, est.bound_source, verdict, eps, est.grid_value, est.witness
     )
 
 
@@ -350,7 +321,8 @@ def _combine(items) -> Verdict:
     return Verdict.INCONCLUSIVE
 
 
-def check_I1(
+def _condition(
+    kind: str,
     problem: SystemProblem,
     rho1: float,
     rho2: float,
@@ -358,51 +330,38 @@ def check_I1(
     policy: HintPolicy = HintPolicy.ALLOW,
     n: int = 17,
 ) -> ConditionOutcome:
-    """sup f_i / rho_i < min(m_i, m_i*) for both components."""
+    """(I1) or (I0) at one radius pair, for both components.
+
+    (I1): sup f_i / rho_i < min(m_i, m_i*).  (I0): inf f_i / rho_i over the
+    pinned boxes > M_i and M_i*.
+    """
     entries = []
     for i, (comp, consts) in enumerate(zip(problem.components, table.components)):
-        role = "first" if i == 0 else "second"
-        est = sup_f_rho(comp, rho1, rho2, problem.variant, role, policy, n)
-        tight = min(consts.m, consts.m_star, key=lambda r: r.constant)
-        entries.append(
-            _sup_entry(
-                f"sup f{i + 1}/rho{i + 1} < min(m{i + 1}, m{i + 1}*)",
-                est,
-                tight.constant,
-                _constant_error(tight),
-            )
-        )
-    entries = tuple(entries)
-    return ConditionOutcome("I1", (rho1, rho2), entries, _combine(entries))
-
-
-def check_I0(
-    problem: SystemProblem,
-    rho1: float,
-    rho2: float,
-    table: ConstantsTable,
-    policy: HintPolicy = HintPolicy.ALLOW,
-    n: int = 17,
-) -> ConditionOutcome:
-    """inf f_i / rho_i over the pinned boxes > M_i and M_i* for both components."""
-    entries = []
-    for i, (comp, consts) in enumerate(zip(problem.components, table.components)):
-        role = "first" if i == 0 else "second"
-        for which, cres in (("plain", consts.M), ("star", consts.M_star)):
-            est = inf_f_rho(
-                comp, which, role, rho1, rho2, None, problem.variant, policy, n
-            )
-            star = "" if which == "plain" else "*"
-            entries.append(
-                _inf_entry(
-                    f"inf{star} f{i + 1}/rho{i + 1} > M{i + 1}{star}",
-                    est,
-                    cres.constant,
-                    _constant_error(cres),
+        role, j = ("first" if i == 0 else "second"), i + 1
+        if kind == "I1":
+            tight = min(consts.m, consts.m_star, key=lambda r: r.constant)
+            est = sup_f_rho(comp, rho1, rho2, problem.variant, role, policy, n)
+            rows = [(f"sup f{j}/rho{j} < min(m{j}, m{j}*)", est, tight, "sup")]
+        else:
+            rows = [
+                (
+                    f"inf{star} f{j}/rho{j} > M{j}{star}",
+                    inf_f_rho(comp, which, role, rho1, rho2, None, problem.variant, policy, n),
+                    cres,
+                    "inf",
                 )
-            )
+                for which, star, cres in (("plain", "", consts.M), ("star", "*", consts.M_star))
+            ]
+        entries += [
+            _entry(name, est, cres.constant, _constant_error(cres), mode)
+            for name, est, cres, mode in rows
+        ]
     entries = tuple(entries)
-    return ConditionOutcome("I0", (rho1, rho2), entries, _combine(entries))
+    return ConditionOutcome(kind, (rho1, rho2), entries, _combine(entries))
+
+
+check_I1 = partial(_condition, "I1")
+check_I0 = partial(_condition, "I0")
 
 
 def _check_ladder(
@@ -464,11 +423,10 @@ def certify(
     ladder = tuple((float(p[0]), float(p[1])) for p in ladder)
     _check_ladder(scenario, ladder, problem)
     sequence, _ = _SCENARIOS[scenario]
-    outcomes = []
-    for kind, (rho1, rho2) in zip(sequence, ladder):
-        check = check_I1 if kind == "I1" else check_I0
-        outcomes.append(check(problem, rho1, rho2, table, policy, n))
-    outcomes = tuple(outcomes)
+    outcomes = tuple(
+        _condition(kind, problem, rho1, rho2, table, policy, n)
+        for kind, (rho1, rho2) in zip(sequence, ladder)
+    )
     verdict = _combine(outcomes)
     hint_backed = all(
         e.bound_source == USER_HINT for o in outcomes for e in o.inequalities

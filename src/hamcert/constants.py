@@ -54,41 +54,26 @@ class ConstantsTable:
         return (self.comp1, self.comp2)
 
 
-def _integral_of_abs(comp: Component, use_derivative: bool):
-    """t -> int_0^1 |kernel| g ds, with abs-kinks added as panel breakpoints."""
+def _row_integral(comp: Component, derivative: bool, lo: float, hi: float, absolute: bool):
+    """t -> int_lo^hi K(t,s) g(s) ds with K = k or dk/dt, optionally |K|.
+
+    With ``absolute``, an expression kernel's sign changes in s are added as
+    panel breakpoints, since |K| has a kink at each.
+    """
     spec = comp.kernel
-    kern = spec.dk_dt if use_derivative else spec.k
+    kern = spec.dk_dt if derivative else spec.k
     g_at = function_of_s(comp.weight)
+    fold = np.abs if absolute else (lambda x: x)
 
     def at(t: float) -> tuple[float, float]:
-        bps = set(spec.breakpoints(t))
-        if spec.is_expression:
-            # an expression kernel may cross zero in s; panelize at the roots
-            probe = lambda s: kern(np.array(t), np.asarray(s, dtype=float))
-            bps.update(sign_change_roots(probe, 0.0, 1.0))
-        res = integrate(
-            lambda s: np.abs(kern(np.array(t), s)) * g_at(s),
-            0.0,
-            1.0,
-            breakpoints=tuple(sorted(bps)),
-        )
-        return res.value, res.error_bound
-
-    return at
-
-
-def _integral_signed(comp: Component, use_derivative: bool, lo: float, hi: float):
-    spec = comp.kernel
-    kern = spec.dk_dt if use_derivative else spec.k
-    g_at = function_of_s(comp.weight)
-
-    def at(t: float) -> tuple[float, float]:
-        res = integrate(
-            lambda s: kern(np.array(t), s) * g_at(s),
-            lo,
-            hi,
-            breakpoints=spec.breakpoints(t),
-        )
+        bps = spec.breakpoints(t)
+        if absolute:
+            bps = set(bps)
+            if spec.is_expression:
+                probe = lambda s: kern(np.array(t), np.asarray(s, dtype=float))
+                bps.update(sign_change_roots(probe, lo, hi))
+            bps = tuple(sorted(bps))
+        res = integrate(lambda s: fold(kern(np.array(t), s)) * g_at(s), lo, hi, breakpoints=bps)
         return res.value, res.error_bound
 
     return at
@@ -120,37 +105,25 @@ def _extremal(
     )
 
 
-def compute_m(comp: Component, label: str = "m") -> ConstantResult:
-    return _extremal(label, _integral_of_abs(comp, use_derivative=False), 0.0, 1.0, "max")
-
-
-def compute_m_star(comp: Component, label: str = "m*") -> ConstantResult:
-    return _extremal(label, _integral_of_abs(comp, use_derivative=True), 0.0, 1.0, "max")
-
-
-def compute_M(comp: Component, label: str = "M") -> ConstantResult:
-    env = comp.envelope
-    return _extremal(
-        label, _integral_signed(comp, False, env.a, env.b), env.a, env.b, "min"
-    )
-
-
-def compute_M_star(comp: Component, label: str = "M*") -> ConstantResult:
-    env = comp.envelope
-    return _extremal(
-        label, _integral_signed(comp, True, env.gamma, env.delta), env.gamma, env.delta, "min"
-    )
-
-
 def compute_component(comp: Component, index: int) -> ComponentConstants:
-    tag = str(index)
-    result = ComponentConstants(
-        m=compute_m(comp, f"m{tag}"),
-        m_star=compute_m_star(comp, f"m{tag}*"),
-        M=compute_M(comp, f"M{tag}"),
-        M_star=compute_M_star(comp, f"M{tag}*"),
-    )
     env = comp.envelope
+    # (field, name, kernel is dk/dt, window, extremum); m and m* integrate |K|
+    rows = (
+        ("m", "m{}", False, (0.0, 1.0), "max"),
+        ("m_star", "m{}*", True, (0.0, 1.0), "max"),
+        ("M", "M{}", False, (env.a, env.b), "min"),
+        ("M_star", "M{}*", True, (env.gamma, env.delta), "min"),
+    )
+    result = ComponentConstants(**{
+        field: _extremal(
+            name.format(index),
+            _row_integral(comp, derivative, lo, hi, absolute=mode == "max"),
+            lo,
+            hi,
+            mode,
+        )
+        for field, name, derivative, (lo, hi), mode in rows
+    })
     if env.a == 0.0 and env.b == 1.0:
         # full-window minimum of a nonneg kernel can never beat the abs-maximum
         if not result.M.extremal_integral <= result.m.extremal_integral * (1 + 1e-12) + 1e-15:

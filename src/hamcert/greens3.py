@@ -12,15 +12,14 @@ dk/dt is squeezed between d*psi and psi there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .model import (
-    AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s, window_integrals,
-)
-from .quadopt import _SCAN_BLOCK, integrate
+from .model import AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s
+from .quadopt import MAX_AXIS_POINTS, integrate
 
 
 class ParamError(ValueError):
@@ -105,23 +104,13 @@ def _select_branch(branches, eta: float, t, s):
     )
 
 
-def _kernel_value(alpha: float, eta: float, t, s):
-    return _select_branch(_kernel_branches(alpha, eta), eta, t, s)
-
-
-def _kernel_derivative(alpha: float, eta: float, t, s):
-    return _select_branch(_derivative_branches(alpha, eta), eta, t, s)
-
 def build_kernel(params: GreenParams) -> KernelSpec:
-    """Kernel spec for the family; s-breakpoints at s = t and s = eta."""
+    """Kernel spec for the family, its one k and dk/dt evaluator; s-breakpoints at s = t, eta."""
     alpha, eta = params.alpha, params.eta
-    k_pieces, dk_pieces = _kernel_branches(alpha, eta), _derivative_branches(alpha, eta)
-
-    def k(t, s):
-        return _select_branch(k_pieces, eta, t, s)
-
-    def dk(t, s):
-        return _select_branch(dk_pieces, eta, t, s)
+    k, dk = (
+        partial(_select_branch, branches(alpha, eta), eta)
+        for branches in (_kernel_branches, _derivative_branches)
+    )
 
     def breakpoints(t: float) -> tuple[float, ...]:
         pts = {eta}
@@ -164,6 +153,7 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
     """Sampled branch gluing, positivity and envelope bounds for the family."""
     alpha, eta = params.alpha, params.eta
     env = default_envelope(params)
+    kern = build_kernel(params)
     ts = np.linspace(0.0, 1.0, n)
     ss = np.linspace(0.0, 1.0, n)
 
@@ -189,8 +179,8 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
         CheckItem("branch gluing is continuous", jump - 1e-10, (0.0, 0.0), jump <= 1e-10)
     ]
 
-    k_sq = _kernel_value(alpha, eta, ts[:, None], ss[None, :])
-    dk_sq = _kernel_derivative(alpha, eta, ts[:, None], ss[None, :])
+    k_sq = kern.k(ts[:, None], ss[None, :])
+    dk_sq = kern.dk_dt(ts[:, None], ss[None, :])
     phi = function_of_s(env.phi)(ss)
     psi = function_of_s(env.psi)(ss)
 
@@ -200,21 +190,14 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
     items.append(_worst(dk_sq - psi[None, :], ts, ss, "dk/dt <= psi on [0,1]^2"))
 
     ts_strip = np.linspace(env.a, env.b, n)
-    k_strip = _kernel_value(alpha, eta, ts_strip[:, None], ss[None, :])
-    dk_strip = _kernel_derivative(alpha, eta, ts_strip[:, None], ss[None, :])
+    k_strip = kern.k(ts_strip[:, None], ss[None, :])
+    dk_strip = kern.dk_dt(ts_strip[:, None], ss[None, :])
     items.append(_worst(env.c * phi[None, :] - k_strip, ts_strip, ss, "k >= c*phi on the strip"))
     items.append(_worst(env.d * psi[None, :] - dk_strip, ts_strip, ss, "dk/dt >= d*psi on the strip"))
 
     # slope condition transferred to the derivative kernel at the endpoints
     s_bc = np.linspace(0.0, 1.0, n)
-    bc_gap = float(
-        np.max(
-            np.abs(
-                _kernel_derivative(alpha, eta, np.array(1.0), s_bc)
-                - alpha * _kernel_derivative(alpha, eta, np.array(eta), s_bc)
-            )
-        )
-    )
+    bc_gap = float(np.max(np.abs(kern.dk_dt(1.0, s_bc) - alpha * kern.dk_dt(eta, s_bc))))
     items.append(
         CheckItem("dk/dt(1,s) = alpha*dk/dt(eta,s)", bc_gap - 1e-10, (1.0, 0.0), bc_gap <= 1e-10)
     )
@@ -237,9 +220,9 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
 
 
 def check_bvp_grid(n_grid: int) -> None:
-    """Reject a verify_bvp grid that is even, below 101 or above _SCAN_BLOCK nodes."""
-    if not 101 <= n_grid <= _SCAN_BLOCK or n_grid % 2 == 0:
-        raise ValueError(f"n_grid must be odd and between 101 and {_SCAN_BLOCK}")
+    """Reject a verify_bvp grid that is even, below 101 or above MAX_AXIS_POINTS nodes."""
+    if not 101 <= n_grid <= MAX_AXIS_POINTS or n_grid % 2 == 0:
+        raise ValueError(f"n_grid must be odd and between 101 and {MAX_AXIS_POINTS}")
 
 
 def verify_bvp(
@@ -262,25 +245,17 @@ def verify_bvp(
     step = ts[1] - ts[0]
 
     h_at = function_of_s(h)
-    k_pieces, dk_pieces = _kernel_branches(alpha, eta), _derivative_branches(alpha, eta)
+    kern = build_kernel(params)
 
-    def w_at(t: float) -> float:
+    def w_at(kernel, t: float) -> float:  # w(t) with k, w'(t) with dk/dt
         return integrate(
-            lambda s: _select_branch(k_pieces, eta, np.array(t), s) * h_at(s),
+            lambda s: kernel(np.array(t), s) * h_at(s),
             0.0,
             1.0,
-            breakpoints=(t, eta),
+            breakpoints=kern.breakpoints(t),
         ).value
 
-    def w_prime_at(t: float) -> float:
-        return integrate(
-            lambda s: _select_branch(dk_pieces, eta, np.array(t), s) * h_at(s),
-            0.0,
-            1.0,
-            breakpoints=(t, eta),
-        ).value
-
-    w = np.array([w_at(float(t)) for t in ts])
+    w = np.array([w_at(kern.k, float(t)) for t in ts])
 
     # 4th-order central third difference on the 7-point stencil
     d3 = np.full(n_grid, np.nan)
@@ -298,9 +273,9 @@ def verify_bvp(
     ode_residual = float(resid[worst_i])
     worst_node = float(ts[worst_i])
 
-    bc0 = abs(w_at(0.0))
-    bc0p = abs(w_prime_at(0.0))
-    bc3 = abs(w_prime_at(1.0) - alpha * w_prime_at(eta))
+    bc0 = abs(w_at(kern.k, 0.0))
+    bc0p = abs(w_at(kern.dk_dt, 0.0))
+    bc3 = abs(w_at(kern.dk_dt, 1.0) - alpha * w_at(kern.dk_dt, eta))
 
     report = ResidualReport(ode_residual, worst_node, bc0, bc0p, bc3, n_grid)
     if ode_residual > ode_tol:
@@ -314,19 +289,3 @@ def verify_bvp(
             0.0,
         )
     return report
-
-
-def check_window_integrals(params: GreenParams, g: Expr, tol: float = 1e-12) -> AssumptionReport:
-    """Positivity of the default-envelope window integrals against weight g."""
-    env = default_envelope(params)
-    r1, r2 = window_integrals(env, g, tol)
-    items = (
-        CheckItem("int phi*g over the window > 0", -r1.value, (env.a, env.b), r1.value > r1.error_bound),
-        CheckItem("int psi*g over the window > 0", -r2.value, (env.gamma, env.delta), r2.value > r2.error_bound),
-    )
-    return AssumptionReport(
-        "window integrals for the family",
-        items,
-        all(it.passed for it in items),
-        note=f"values {r1.value!r}, {r2.value!r}",
-    )

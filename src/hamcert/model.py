@@ -239,16 +239,10 @@ def window_integrals(
     env: Envelope, weight: Expr, tol: float = 1e-12
 ) -> tuple[QuadResult, QuadResult]:
     """The pair (int_a^b phi*g, int_gamma^delta psi*g) with error bounds."""
-
-    def times_weight(envelope: Expr):
-        def integrand(s):
-            return exprlang.evaluate(envelope, {"s": s}) * exprlang.evaluate(weight, {"s": s})
-
-        return integrand
-
+    phi, psi, g = (function_of_s(expr) for expr in (env.phi, env.psi, weight))
     return (
-        integrate(times_weight(env.phi), env.a, env.b, tol=tol),
-        integrate(times_weight(env.psi), env.gamma, env.delta, tol=tol),
+        integrate(lambda s: phi(s) * g(s), env.a, env.b, tol=tol),
+        integrate(lambda s: psi(s) * g(s), env.gamma, env.delta, tol=tol),
     )
 
 
@@ -278,9 +272,8 @@ def check_kernel_derivative(
     where = (0.0, 0.0)
     checked = 0
     for t in ts:
-        bps = set(spec.breakpoints(float(t))) | ({float(t)} if not spec.is_expression else set())
         mask = np.ones_like(ss, dtype=bool)
-        for bp in bps:
+        for bp in spec.breakpoints(float(t)):
             mask &= np.abs(ss - bp) > 10 * step
         if not mask.any():
             continue

@@ -70,6 +70,9 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 # is bounded by this, not by its resolution.
 _SCAN_BLOCK = 1 << 22
 
+# Most points one scan axis (or one boundary-problem grid) may have.
+MAX_AXIS_POINTS = 1 << 22
+
 
 class QuadratureFailure(Exception):
     """Subdivision cap reached or a panel not finite; carries the best value."""
@@ -244,8 +247,8 @@ def extremize(
 
 def box_axes(box: Sequence[tuple[float, float]], n: int) -> list[np.ndarray]:
     """Sample points per box interval: ``n`` uniform points, or one if pinned."""
-    if n > _SCAN_BLOCK:
-        raise ValueError(f"at most {_SCAN_BLOCK} points per axis, got {n}")
+    if n > MAX_AXIS_POINTS:
+        raise ValueError(f"at most {MAX_AXIS_POINTS} points per axis, got {n}")
     axes = []
     for lo, hi in box:
         if lo > hi:

@@ -282,7 +282,7 @@ def test_literal_that_overflows_is_a_file_error(tmp_path, sign_text, capsys):
     assert "bad numeric literal '1e400'" in capsys.readouterr().err
 
 
-OVER_CAP = str(quadopt._SCAN_BLOCK + 1)  # odd, so only the cap rejects it
+OVER_CAP = str(quadopt.MAX_AXIS_POINTS + 1)  # odd, so only the cap rejects it
 
 
 def _no_work(*args, **kwargs):
@@ -301,13 +301,13 @@ def test_scan_resolution_above_the_cap_exits_one(command, key, tmp_path, sign_te
     over_file = _write(tmp_path, re.sub(rf"(?m)^{key} = \d+$", f"{key} = {OVER_CAP}", sign_text))
     assert main([command, over_file]) == 1
     err = capsys.readouterr().err
-    assert err.count(f"at most {quadopt._SCAN_BLOCK} points per axis, got {OVER_CAP}") == 2
+    assert err.count(f"at most {quadopt.MAX_AXIS_POINTS} points per axis, got {OVER_CAP}") == 2
 
 
 def test_green_check_grid_above_the_cap_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(greens3, "integrate", _no_work)
     assert main(["green-check", bundled_path("third_order.prob"), "--grid", OVER_CAP]) == 1
-    assert f"between 101 and {quadopt._SCAN_BLOCK}" in capsys.readouterr().err
+    assert f"between 101 and {quadopt.MAX_AXIS_POINTS}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["100", "99"])
@@ -338,6 +338,7 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(command, flag, tmp_pa
     assert exc.value.code == 1
     out, err = capsys.readouterr()
     assert out == ""
+    assert f"usage: hamcert {command} " in err
     assert f"unrecognized arguments: {flag} {value}" in err
     assert not (tmp_path / "t.tsv").exists()
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hamcert import exprlang
 from hamcert.conditions import (
     GRID_ESTIMATE,
     USER_HINT,
+    BoundEstimate,
     Box4,
     HintInconsistent,
     HintMissing,
@@ -25,6 +27,7 @@ from hamcert.conditions import (
     check_nonexistence,
     inf_f_rho,
     sup_f_rho,
+    _entry,
 )
 from hamcert.model import HINT_VARS, NONLIN_VARS, BoundHints, ConeVariant
 
@@ -136,6 +139,75 @@ def test_missing_hint_policies(sign_changing):
         sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING, policy=HintPolicy.REQUIRE)
     est = sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING, policy=HintPolicy.ALLOW)
     assert est.bound_source == GRID_ESTIMATE
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_verdict_boundaries_sit_at_rhs_plus_minus_eps(mode):
+    # sup: FAILS iff grid >= rhs + eps, HOLDS iff a hint < rhs - eps;
+    # inf mirrors both: FAILS iff grid <= rhs - eps, HOLDS iff a hint > rhs + eps
+    rhs, rhs_error = 0.5, 1e-6
+    eps = 10.0 * rhs_error + 1e-12  # every value here is below 1
+    sign = 1.0 if mode == "sup" else -1.0
+    fail_edge, hold_edge = rhs + sign * eps, rhs - sign * eps
+    inward, outward = -sign * np.inf, sign * np.inf
+
+    def entry(value, source=USER_HINT):
+        # a hint is never on the wrong side of the grid, so put both at value
+        est = BoundEstimate(value, source, value, ())
+        return _entry("x", est, rhs, rhs_error, mode)
+
+    cases = [
+        (fail_edge, USER_HINT, Verdict.FAILS),
+        (float(np.nextafter(fail_edge, outward)), USER_HINT, Verdict.FAILS),
+        (float(np.nextafter(fail_edge, inward)), USER_HINT, Verdict.INCONCLUSIVE),
+        (float(np.nextafter(hold_edge, outward)), USER_HINT, Verdict.INCONCLUSIVE),
+        (hold_edge, USER_HINT, Verdict.INCONCLUSIVE),
+        (float(np.nextafter(hold_edge, inward)), USER_HINT, Verdict.HOLDS),
+        (float(np.nextafter(hold_edge, inward)), GRID_ESTIMATE, Verdict.INCONCLUSIVE),
+        (fail_edge, GRID_ESTIMATE, Verdict.FAILS),
+    ]
+    for value, source, verdict in cases:
+        e = entry(value, source)
+        assert (e.verdict, e.epsilon, e.lhs, e.rhs) == (verdict, eps, value, rhs), value
+        assert e.margin == (rhs - value if mode == "sup" else value - rhs)
+        assert (e.margin > 0) == (sign * value < sign * rhs)
+    # equality gives a margin of +0.0 in both modes, never -0.0
+    assert math.copysign(1.0, entry(rhs).margin) == 1.0
+
+
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+def test_hint_one_tolerance_beyond_the_grid_is_the_last_accepted(sign_changing, mode):
+    base = dataclasses.replace(sign_changing.problem.comp1, f=_f("0.5"))
+
+    def bound(hint_text):
+        hint = _hint(hint_text) if hint_text else None
+        hints = BoundHints(sup=hint) if mode == "sup" else BoundHints(inf_plain=hint)
+        comp = dataclasses.replace(base, hints=hints)
+        if mode == "sup":
+            return sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING)
+        return inf_f_rho(comp, "plain", "first", 1.0, 1.0)
+
+    grid_only = bound(None)
+    grid, witness = grid_only.grid_value, grid_only.witness
+    assert grid == 0.5 and grid_only.bound_source == GRID_ESTIMATE
+    tol = 1e-9  # relative hint tolerance times max(1, |hint|, |grid|)
+    edge = grid - tol if mode == "sup" else grid + tol
+    accepted = bound(repr(edge))
+    assert (accepted.value, accepted.bound_source) == (edge, USER_HINT)
+    bad = float(np.nextafter(edge, -np.inf if mode == "sup" else np.inf))
+    with pytest.raises(HintInconsistent) as exc:
+        bound(repr(bad))
+    if mode == "sup":
+        expected = (
+            f"sup hint {bad!r} is below the grid sup estimate {grid!r} "
+            f"(grid witness {witness}); an upper bound cannot be smaller"
+        )
+    else:
+        expected = (
+            f"inf-plain hint {bad!r} is above the grid inf estimate {grid!r} "
+            f"(grid witness {witness}); a lower bound cannot be larger"
+        )
+    assert str(exc.value) == expected
 
 
 # ----------------------------------------------------------- conditions

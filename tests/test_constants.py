@@ -11,7 +11,6 @@ from hamcert import exprlang
 from hamcert.constants import (
     DegenerateConstant,
     compute_component,
-    compute_m,
     compute_table,
 )
 from hamcert.model import WEIGHT_VARS
@@ -134,7 +133,7 @@ def test_component_accessor_matches_table(sign_changing, sign_table):
 
 
 def test_single_constant_entry_names(sign_changing):
-    res = compute_m(sign_changing.problem.comp1, "m1")
+    res = compute_component(sign_changing.problem.comp1, 1).m
     assert res.name == "m1"
     assert res.extremal_integral == pytest.approx(49 / 512, rel=1e-9)
     assert res.constant == pytest.approx(512 / 49, rel=1e-9)

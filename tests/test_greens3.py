@@ -13,11 +13,11 @@ from hamcert.greens3 import (
     ResidualTooLarge,
     build_kernel,
     check_kernel_properties,
-    check_window_integrals,
     default_envelope,
     envelope_constant_c,
     verify_bvp,
 )
+from hamcert.model import window_integrals
 from hamcert.quadopt import integrate
 
 PARAM_SETS = [GreenParams(3 / 2, 1 / 2), GreenParams(2.0, 1 / 3), GreenParams(5 / 4, 0.7)]
@@ -71,6 +71,7 @@ def _select_reference(pieces, eta, t, s):
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_single_branch_evaluation_matches_select_bit_for_bit(params):
     alpha, eta = params.alpha, params.eta
+    kern = build_kernel(params)
     rng = np.random.default_rng(3)
     x, y = eta / 2, (1 + eta) / 2  # split points below and above eta
 
@@ -103,10 +104,10 @@ def test_single_branch_evaluation_matches_select_bit_for_bit(params):
             if tt.ndim == 2:
                 assert greens3._single_branch(eta, tt, ss) == branch
             for value, pieces in (
-                (greens3._kernel_value, greens3._kernel_branches(alpha, eta)),
-                (greens3._kernel_derivative, greens3._derivative_branches(alpha, eta)),
+                (kern.k, greens3._kernel_branches(alpha, eta)),
+                (kern.dk_dt, greens3._derivative_branches(alpha, eta)),
             ):
-                got = value(alpha, eta, tt, ss)
+                got = value(tt, ss)
                 want = _select_reference(pieces, eta, tt, ss)
                 assert type(got) is type(want) and got.shape == want.shape
                 assert np.array_equal(got, want)
@@ -180,21 +181,19 @@ def test_envelope_constant_formula():
 
 
 def test_window_integrals_closed_forms():
-    rep = check_window_integrals(GreenParams(1.5, 0.5), _h("1"))
-    assert rep.passed
-    values = [-it.worst_violation for it in rep.items]
-    assert values[0] == pytest.approx(65 / 162, abs=1e-12)
-    assert values[1] == pytest.approx(7 / 18, abs=1e-12)
+    r1, r2 = window_integrals(default_envelope(GreenParams(1.5, 0.5)), _h("1"))
+    assert r1.value > r1.error_bound and r2.value > r2.error_bound
+    assert r1.value == pytest.approx(65 / 162, abs=1e-12)
+    assert r2.value == pytest.approx(7 / 18, abs=1e-12)
 
-    rep = check_window_integrals(GreenParams(2.0, 1 / 3), _h("1"))
-    values = [-it.worst_violation for it in rep.items]
-    assert values[0] == pytest.approx(5 / 18, abs=1e-12)
-    assert values[1] == pytest.approx(3 / 8, abs=1e-12)
+    r1, r2 = window_integrals(default_envelope(GreenParams(2.0, 1 / 3)), _h("1"))
+    assert r1.value == pytest.approx(5 / 18, abs=1e-12)
+    assert r2.value == pytest.approx(3 / 8, abs=1e-12)
 
 
 def test_window_integrals_need_positive_weight():
-    rep = check_window_integrals(GreenParams(1.5, 0.5), _h("0"))
-    assert not rep.passed
+    r1, r2 = window_integrals(default_envelope(GreenParams(1.5, 0.5)), _h("0"))
+    assert not (r1.value > r1.error_bound or r2.value > r2.error_bound)
 
 
 def test_solution_oracle_constant_load():
@@ -241,7 +240,7 @@ def test_bvp_grid_validation(monkeypatch):
 
     monkeypatch.setattr(greens3, "integrate", no_integrals)
     with pytest.raises(ValueError, match="between 101 and"):
-        verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=quadopt._SCAN_BLOCK + 1)
+        verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=quadopt.MAX_AXIS_POINTS + 1)
 
 
 valid_params = st.tuples(

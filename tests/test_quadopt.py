@@ -212,6 +212,15 @@ def test_grid_extremum_does_not_scan_an_ignored_axis(monkeypatch):
     assert found == _dense_extremum(fn, axes, "inf")
 
 
+def test_an_axis_may_hold_more_points_than_one_block(monkeypatch):
+    # the per-axis cap is MAX_AXIS_POINTS, not the block size
+    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 64)
+    fn = lambda x, y: np.sin(7.0 * x) * np.cos(5.0 * y) + x * y
+    box = [(0.0, 1.0), (-1.0, 1.0)]
+    dense = _dense_extremum(fn, [np.linspace(lo, hi, 100) for lo, hi in box], "sup")
+    assert box_extremum_with_witness(fn, box, "sup", 100) == dense
+
+
 def test_box_extremum_rejects_bad_input():
     with pytest.raises(ValueError, match="mode"):
         box_extremum_with_witness(lambda x: x, [(0.0, 1.0)], mode="max")
@@ -220,7 +229,7 @@ def test_box_extremum_rejects_bad_input():
     with pytest.raises(ValueError, match="bad box interval"):
         box_extremum_with_witness(lambda x: x, [(1.0, 0.0)])
     with pytest.raises(ValueError, match="points per axis"):
-        quadopt.box_axes([(0.0, 1.0)], quadopt._SCAN_BLOCK + 1)
+        quadopt.box_axes([(0.0, 1.0)], quadopt.MAX_AXIS_POINTS + 1)
 
 
 @settings(max_examples=40, deadline=None)
