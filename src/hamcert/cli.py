@@ -255,10 +255,14 @@ def _build_component(
         for key in _ENVELOPE_KEYS
         if key in sec
     }
-    if params is not None:
-        envelope = dataclasses.replace(greens3.default_envelope(params), **present)
-    else:
-        envelope = Envelope(**present)
+    try:
+        if params is not None:
+            envelope = dataclasses.replace(greens3.default_envelope(params), **present)
+        else:
+            envelope = Envelope(**present)
+    except ValueError as exc:  # an out-of-range value: at the first key it names, if given
+        at = next((sec[w] for w in re.findall(r"\w+", str(exc)) if w in present), kentry)
+        raise ProblemFileError(str(exc), path, at.line, at.col) from exc
     hints = BoundHints(**{
         key.removesuffix("_hint"): _expr(sec[key], HINT_VARS, path)
         for key in _HINT_KEYS

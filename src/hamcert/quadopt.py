@@ -66,9 +66,10 @@ _GAUSS_IDX = np.arange(1, 15, 2)
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Most grid points one call of a scanned function sees: a box scan's memory
-# is bounded by this, not by its resolution.
-_SCAN_BLOCK = 1 << 22
+# Most values one vectorized evaluation holds (a box scan's block, a solver row
+# block): temporaries stay cache-sized, where multi-MB ones are mapped and
+# page-faulted anew for each block.
+BLOCK_VALUES = 1 << 16
 
 # Most points one scan axis (or one boundary-problem grid) may have.
 MAX_AXIS_POINTS = 1 << 22
@@ -265,7 +266,7 @@ def grid_extremum(
     ``fn`` takes one broadcastable array per axis, and the shape of its
     result may depend only on the shapes of its arguments.  The grid is
     scanned in C order, in blocks over the leading axes of at most
-    _SCAN_BLOCK points, so memory does not grow with the grid.  An axis
+    BLOCK_VALUES points, so memory does not grow with the grid.  An axis
     ``fn`` does not read is not scanned: its first point stands for all of
     it.  Ties resolve to the first grid point in C order.
     """
@@ -281,8 +282,8 @@ def grid_extremum(
     probe = (1,) * (len(axes) - len(probe)) + probe
     axes = [a if probe[k] > 1 else a[:1] for k, a in enumerate(axes)]
     shape = tuple(len(a) for a in axes)
-    split = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= _SCAN_BLOCK)
-    step = _SCAN_BLOCK // math.prod(shape[split + 1:])
+    split = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= BLOCK_VALUES)
+    step = BLOCK_VALUES // math.prod(shape[split + 1:])
     best = where = None
     for outer in np.ndindex(*shape[:split]):
         for lo in range(0, shape[split], step):

@@ -19,15 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import quadopt
 from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
 
 # Most grid nodes a solve accepts: its four n x n float64 weight matrices
 # then take about 0.5 GB.
 MAX_NODES = 4001
-
-# Kernel values per row block of the weight build: its buffer and temporaries stay
-# cache-sized, where multi-MB ones are mapped and page-faulted anew for each block.
-_ROW_BLOCK = 1 << 16
 
 _FIELDS = ("u", "du", "v", "dv")  # the nodal arrays of a GridPair
 
@@ -116,7 +113,7 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     Entry (i, j) is the integral of k(t_i, s) g(s) against the hat function
     of node j, so K @ f integrates the linear interpolant of nodal f exactly
     against k*g.  The integrals are composite Gauss-7 sums over panels split
-    at the grid nodes and the kernel breakpoints.  A row block (at most _ROW_BLOCK
+    at the grid nodes and the kernel breakpoints.  A row block (at most BLOCK_VALUES
     values, or one row) fills one reused buffer in column segments split at the
     breakpoints of its first and last rows, one branch of a piecewise kernel each
     off the diagonal, and is contracted with the hat weights of every panel.
@@ -136,7 +133,7 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
     frac = ((s - grid[cell]) / (grid[cell + 1] - grid[cell])).reshape(len(lo), 7)
     starts = np.searchsorted(cell[::7], np.arange(n - 1))  # every cell holds a panel
-    rows = max(1, _ROW_BLOCK // len(s))
+    rows = max(1, quadopt.BLOCK_VALUES // len(s))
     buf = np.empty((rows, len(s)))
     matrices = []
     for comp in problem.components:

@@ -96,6 +96,21 @@ def test_green_kernel_parameter_errors_are_located(tmp_path, third_text):
         load_problem(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("new,line,fragment", [
+    ("c = 2", 15, "need c in (0, 1], got 2.0"),
+    ("c = 1/45\nb = 0.5\na = 0.9", 17, "need 0 <= a < b <= 1, got a=0.9, b=0.5"),
+    ("c = 1/45\ngamma = 0.8\ndelta = 0.5", 16,
+     "need 0 <= gamma < delta <= 1, got gamma=0.8, delta=0.5"),
+    ("c = 1/45\nd = 2", 16, "need d in (0, 1], got 2.0"),
+    # a names green(3/2, 1/2)'s default, which the file does not set: at b
+    ("c = 1/45\nb = 0.01", 16, "need 0 <= a < b <= 1, got a=0.3333333333333333, b=0.01"),
+])
+def test_envelope_range_errors_are_located(tmp_path, third_text, capsys, new, line, fragment):
+    path = _write(tmp_path, third_text.replace("c = 1/45", new, 1))
+    assert main(["certify", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}:1: {fragment}\n"
+
+
 # --------------------------------------------------------- exit codes
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,20 @@ def test_nonlinearity_positivity_scan(sign_changing):
     assert not report.passed
     item = report.items[0]
     assert item.worst_violation == pytest.approx(2.0)  # f = -2 at u1 = -2
+
+
+def test_scan_memory_is_bounded_by_the_block(third_order):
+    comp = third_order.problem.comp1
+    box = [(-1.0, 1.0)] * 4
+    verify_nonneg_f(comp, box, 9)  # first-call imports
+    tracemalloc.start()
+    try:
+        report = verify_nonneg_f(comp, box, 33)  # 33^5 points
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.note == "sampled at 33 points per axis"
+    assert peak < 4_000_000
 
 
 def test_declared_derivative_cross_check(sign_changing):

@@ -167,7 +167,7 @@ SCAN_CASES = {
 @pytest.mark.parametrize("case", sorted(SCAN_CASES))
 def test_grid_extremum_matches_dense_reference(monkeypatch, block, mode, case):
     # tiny blocks force every split: over t, over x, one row at a time, whole grid
-    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", block)
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", block)
     fn, pinned = SCAN_CASES[case]
     axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4), np.linspace(0.0, 2.0, 5)]
     if pinned is not None:
@@ -183,7 +183,7 @@ def test_grid_extremum_ties_go_to_first_point_in_c_order():
 
 
 def test_grid_extremum_calls_stay_within_the_block(monkeypatch):
-    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", 64)
     sizes = []
 
     def fn(*args):
@@ -198,7 +198,7 @@ def test_grid_extremum_calls_stay_within_the_block(monkeypatch):
 
 
 def test_grid_extremum_does_not_scan_an_ignored_axis(monkeypatch):
-    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 100)
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", 100)
     t_lengths = []
 
     def fn(t, x, y):
@@ -214,7 +214,7 @@ def test_grid_extremum_does_not_scan_an_ignored_axis(monkeypatch):
 
 def test_an_axis_may_hold_more_points_than_one_block(monkeypatch):
     # the per-axis cap is MAX_AXIS_POINTS, not the block size
-    monkeypatch.setattr(quadopt, "_SCAN_BLOCK", 64)
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", 64)
     fn = lambda x, y: np.sin(7.0 * x) * np.cos(5.0 * y) + x * y
     box = [(0.0, 1.0), (-1.0, 1.0)]
     dense = _dense_extremum(fn, [np.linspace(lo, hi, 100) for lo, hi in box], "sup")

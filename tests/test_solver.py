@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamcert import exprlang, solver
+from hamcert import exprlang, quadopt
 from hamcert.model import NONLIN_VARS, BoundHints
 from hamcert.solver import (
     MAX_NODES,
@@ -134,9 +134,9 @@ def test_weight_memo_holds_one_problem(sign_changing, third_order):
 
 @pytest.mark.parametrize("block", [1, 700, 5000])
 def test_row_blocks_do_not_change_the_weights(block, third_order, monkeypatch):
-    monkeypatch.setattr(solver, "_ROW_BLOCK", 1 << 22)  # all 101 rows in one block
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", 1 << 22)  # all 101 rows in one block
     whole = _discretize.__wrapped__(third_order.problem, 101)
-    monkeypatch.setattr(solver, "_ROW_BLOCK", block)
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", block)
     blocked = _discretize.__wrapped__(third_order.problem, 101)
     for a, b in zip(whole.matrices, blocked.matrices):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
