@@ -42,9 +42,13 @@ from .model import (
     Component,
     ConeVariant,
     Envelope,
+    ENVELOPE_VARS,
     HINT_VARS,
+    KERNEL_VARS,
     KernelSpec,
+    NONLIN_VARS,
     SystemProblem,
+    WEIGHT_VARS,
     check_kernel_derivative,
     verify_A3,
     verify_A4,
@@ -64,9 +68,6 @@ from .solver import (
 class ProblemFileError(ValueError):
     def __init__(self, message: str, path: str, line: int, col: int = 1):
         super().__init__(f"{path}:{line}:{col}: {message}")
-        self.path = path
-        self.line = line
-        self.col = col
 
 
 _GREEN_RE = re.compile(r"green\((.*)\)\s*$")
@@ -202,19 +203,14 @@ class LoadedProblem:
     problem: SystemProblem
     check: CheckConfig
     solver: SolverConfig
-    green_params: tuple[greens3.GreenParams | None, greens3.GreenParams | None]
-    path: str
 
 
-def _build_component(
-    sec: dict[str, _Entry], name: str, path: str
-) -> tuple[Component, greens3.GreenParams | None]:
+def _build_component(sec: dict[str, _Entry], name: str, path: str) -> Component:
     for key in ("kernel", "weight", "f"):
         if key not in sec:
             raise ProblemFileError(f"[{name}] is missing {key!r}", path, 1)
     kentry = sec["kernel"]
     green = _GREEN_RE.fullmatch(kentry.value)
-    params: greens3.GreenParams | None = None
     if green is not None:
         if "kernel_dt" in sec:
             e = sec["kernel_dt"]
@@ -240,8 +236,8 @@ def _build_component(
                 "an expression kernel needs kernel_dt", path, kentry.line, kentry.col
             )
         kernel = KernelSpec.from_expressions(
-            _expr(kentry, ("t", "s"), path),
-            _expr(sec["kernel_dt"], ("t", "s"), path),
+            _expr(kentry, KERNEL_VARS, path),
+            _expr(sec["kernel_dt"], KERNEL_VARS, path),
         )
         missing = [key for key in _ENVELOPE_KEYS if key not in sec]
         if missing:
@@ -251,13 +247,13 @@ def _build_component(
             )
     # a green kernel's keys override its default envelope; an expression kernel has all
     present = {
-        key: _expr(sec[key], ("s",), path) if key in ("phi", "psi") else _const(sec[key], path)
+        key: _expr(sec[key], ENVELOPE_VARS, path) if key in ("phi", "psi") else _const(sec[key], path)
         for key in _ENVELOPE_KEYS
         if key in sec
     }
     try:
-        if params is not None:
-            envelope = dataclasses.replace(greens3.default_envelope(params), **present)
+        if kernel.green is not None:
+            envelope = dataclasses.replace(greens3.default_envelope(kernel.green), **present)
         else:
             envelope = Envelope(**present)
     except ValueError as exc:  # an out-of-range value: at the first key it names, if given
@@ -268,14 +264,13 @@ def _build_component(
         for key in _HINT_KEYS
         if key in sec
     })
-    component = Component(
+    return Component(
         kernel=kernel,
         envelope=envelope,
-        weight=_expr(sec["weight"], ("s",), path),
-        f=_expr(sec["f"], ("t", "u1", "u2", "v1", "v2"), path),
+        weight=_expr(sec["weight"], WEIGHT_VARS, path),
+        f=_expr(sec["f"], NONLIN_VARS, path),
         hints=hints,
     )
-    return component, params
 
 
 def _positive_int(entry: _Entry, path: str, minimum: int = 1) -> int:
@@ -303,8 +298,8 @@ def load_problem(path: str) -> LoadedProblem:
             )
         variant = _VARIANTS[entry.value]
 
-    comp1, params1 = _build_component(sections["component.1"], "component.1", path)
-    comp2, params2 = _build_component(sections["component.2"], "component.2", path)
+    comp1 = _build_component(sections["component.1"], "component.1", path)
+    comp2 = _build_component(sections["component.2"], "component.2", path)
     problem = SystemProblem(comp1, comp2, variant)
 
     check_sec = sections.get("check", {})
@@ -343,30 +338,28 @@ def load_problem(path: str) -> LoadedProblem:
     )
 
     solver_sec = sections.get("solver", {})
-    solver = SolverConfig()
-    if solver_sec:
-        kwargs = {}
-        if "n" in solver_sec:
-            kwargs["n"] = _positive_int(solver_sec["n"], path, 101)
-        if "theta" in solver_sec:
-            kwargs["theta"] = _const(solver_sec["theta"], path)
-        if "tol" in solver_sec:
-            kwargs["tol"] = _const(solver_sec["tol"], path)
-        if "max_iter" in solver_sec:
-            kwargs["max_iter"] = _positive_int(solver_sec["max_iter"], path)
-        if "init" in solver_sec:
-            entry = solver_sec["init"]
-            if entry.value not in ("zero", "bump"):
-                raise ProblemFileError(
-                    f"init must be 'zero' or 'bump', got {entry.value!r}",
-                    path, entry.line, entry.col,
-                )
-            kwargs["init"] = entry.value
-        if "scale" in solver_sec:
-            kwargs["scale"] = _const(solver_sec["scale"], path)
-        solver = SolverConfig(**kwargs)
+    kwargs = {}
+    if "n" in solver_sec:
+        kwargs["n"] = _positive_int(solver_sec["n"], path, 101)
+    if "theta" in solver_sec:
+        kwargs["theta"] = _const(solver_sec["theta"], path)
+    if "tol" in solver_sec:
+        kwargs["tol"] = _const(solver_sec["tol"], path)
+    if "max_iter" in solver_sec:
+        kwargs["max_iter"] = _positive_int(solver_sec["max_iter"], path)
+    if "init" in solver_sec:
+        entry = solver_sec["init"]
+        if entry.value not in ("zero", "bump"):
+            raise ProblemFileError(
+                f"init must be 'zero' or 'bump', got {entry.value!r}",
+                path, entry.line, entry.col,
+            )
+        kwargs["init"] = entry.value
+    if "scale" in solver_sec:
+        kwargs["scale"] = _const(solver_sec["scale"], path)
+    solver = SolverConfig(**kwargs)
 
-    return LoadedProblem(problem, check, solver, (params1, params2), path)
+    return LoadedProblem(problem, check, solver)
 
 
 # ---------------------------------------------------------------- reports
@@ -436,7 +429,7 @@ def _cmd_assumptions(loaded: LoadedProblem, args) -> tuple[int, dict]:
     reports: list[AssumptionReport] = []
     for i, comp in enumerate(problem.components):
         own = [verify_A3(comp), verify_A4(comp)]
-        if comp.kernel.is_expression:
+        if comp.kernel.green is None:
             own.append(check_kernel_derivative(comp.kernel))
         if problem.variant is not ConeVariant.SIGN_CHANGING:
             b1, b2 = loaded.check.nonexistence_box
@@ -538,16 +531,15 @@ def _cmd_solve(loaded: LoadedProblem, args) -> tuple[int, dict]:
 
 
 def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
-    found = False
     all_pass = True
     sections = []
     n_grid = args.grid if args.grid is not None else 2001
     ode_tol = args.tol if args.tol is not None else 1e-4
     greens3.check_bvp_grid(n_grid)
-    for i, params in enumerate(loaded.green_params):
+    for i, comp in enumerate(loaded.problem.components):
+        params = comp.kernel.green
         if params is None:
             continue
-        found = True
         report = greens3.check_kernel_properties(params)
         _print_reports([report])
         entry = {
@@ -559,7 +551,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
         }
         ok = report.passed
         for h_text in ("1", "s"):
-            h = exprlang.parse(h_text, ("s",))
+            h = exprlang.parse(h_text, WEIGHT_VARS)
             try:
                 res = greens3.verify_bvp(params, h, n_grid=n_grid, ode_tol=ode_tol)
                 entry["bvp"].append({"h": h_text, **dataclasses.asdict(res), "passed": True})
@@ -574,7 +566,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
                 print(f"  bvp h = {h_text}: FAIL ({exc})")
         all_pass = all_pass and ok
         sections.append(entry)
-    if not found:
+    if not sections:
         raise ValueError("no component of this problem uses a green(...) kernel")
     doc = {"command": "green-check", "passed": all_pass, "components": sections}
     return (0 if all_pass else 2), doc

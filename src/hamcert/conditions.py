@@ -289,6 +289,11 @@ def _constant_error(result: ConstantResult) -> float:
     return result.constant**2 * result.quad_error
 
 
+def _epsilon(error: float, *scales: float) -> float:
+    """Verdict tolerance: ten times the error plus 1e-12 relative to the largest scale."""
+    return 10.0 * error + 1e-12 * max(1.0, *scales)
+
+
 def _entry(
     name: str, est: BoundEstimate, rhs: float, rhs_error: float, mode: str
 ) -> InequalityEntry:
@@ -297,7 +302,7 @@ def _entry(
     Negation is exact, so each inf comparison is the sup one bit for bit.
     """
     sign = _MODES[mode][0]
-    eps = 10.0 * rhs_error + 1e-12 * max(1.0, abs(est.value), abs(rhs))
+    eps = _epsilon(rhs_error, abs(est.value), abs(rhs))
     if sign * est.grid_value >= sign * rhs + eps:
         verdict = Verdict.FAILS
     elif est.bound_source == USER_HINT and sign * est.value < sign * rhs - eps:
@@ -504,8 +509,8 @@ def check_nonexistence(
         env = comp.envelope
         m = consts.m.constant
         big = consts.M.constant / env.c
-        eps_a = 10.0 * _constant_error(consts.m) + 1e-12 * max(1.0, m)
-        eps_b = 10.0 * _constant_error(consts.M) / env.c + 1e-12 * max(1.0, big)
+        eps_a = _epsilon(_constant_error(consts.m), m)
+        eps_b = _epsilon(_constant_error(consts.M) / env.c, big)
         sub = "u1" if i == 0 else "v1"
         alt_a = _alternative(
             f"N{i + 1}a: f{i + 1} < m{i + 1}|{sub}|",

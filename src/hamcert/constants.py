@@ -69,7 +69,7 @@ def _row_integral(comp: Component, derivative: bool, lo: float, hi: float, absol
         bps = spec.breakpoints(t)
         if absolute:
             bps = set(bps)
-            if spec.is_expression:
+            if spec.green is None:
                 probe = lambda s: kern(np.array(t), np.asarray(s, dtype=float))
                 bps.update(sign_change_roots(probe, lo, hi))
             bps = tuple(sorted(bps))

@@ -250,22 +250,6 @@ def parse(text: str, variables: Iterable[str]) -> Expr:
     return _Parser(text, frozenset(variables)).parse()
 
 
-def variables_of(expr: Expr) -> frozenset[str]:
-    """The set of variable names referenced by ``expr``."""
-    if isinstance(expr, Var):
-        return frozenset((expr.name,))
-    if isinstance(expr, Neg):
-        return variables_of(expr.operand)
-    if isinstance(expr, BinOp):
-        return variables_of(expr.left) | variables_of(expr.right)
-    if isinstance(expr, Call):
-        out: frozenset[str] = frozenset()
-        for a in expr.args:
-            out |= variables_of(a)
-        return out
-    return frozenset()
-
-
 _UNARY_CALLS = {
     "sin": np.sin,
     "cos": np.cos,
@@ -321,50 +305,4 @@ def _eval(expr: Expr, env: Mapping[str, Number]) -> Number:
         if expr.func in _UNARY_CALLS:
             return _check_finite(_UNARY_CALLS[expr.func](args[0]), expr.func)
         return _check_finite(_BINARY_CALLS[expr.func](args[0], args[1]), expr.func)
-    raise AssertionError(f"bad node {expr!r}")
-
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(expr: Expr) -> int:
-    if isinstance(expr, BinOp):
-        if expr.op in "+-":
-            return _PREC_ADD
-        if expr.op in "*/":
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(expr, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def pretty(expr: Expr) -> str:
-    """Render ``expr`` to text that reparses to a structurally identical tree."""
-    if isinstance(expr, Num):
-        return repr(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Neg):
-        inner = pretty(expr.operand)
-        if _prec(expr.operand) < _PREC_NEG:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(expr, BinOp):
-        mine = _prec(expr)
-        left, right = pretty(expr.left), pretty(expr.right)
-        if expr.op == "^":
-            # right-associative: parenthesize the left child on ties
-            if _prec(expr.left) <= mine:
-                left = f"({left})"
-            if _prec(expr.right) < mine:
-                right = f"({right})"
-        else:
-            if _prec(expr.left) < mine:
-                left = f"({left})"
-            if _prec(expr.right) <= mine:
-                right = f"({right})"
-        return f"{left}{expr.op}{right}"
-    if isinstance(expr, Call):
-        return f"{expr.func}({','.join(pretty(a) for a in expr.args)})"
     raise AssertionError(f"bad node {expr!r}")

@@ -18,7 +18,9 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .model import AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s
+from .model import (
+    ENVELOPE_VARS, AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s,
+)
 from .quadopt import MAX_AXIS_POINTS, integrate
 
 
@@ -118,7 +120,7 @@ def build_kernel(params: GreenParams) -> KernelSpec:
             pts.add(float(t))
         return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
 
-    return KernelSpec(k, dk, breakpoints, False, f"green(alpha={alpha!r}, eta={eta!r})")
+    return KernelSpec(k, dk, breakpoints, params)
 
 
 def envelope_constant_c(params: GreenParams) -> float:
@@ -135,8 +137,8 @@ def default_envelope(params: GreenParams) -> Envelope:
     """
     alpha, eta = params.alpha, params.eta
     one = 1.0 - alpha * eta
-    phi = exprlang.parse(f"{(1.0 + alpha) / one!r}*s*(1-s)", ("s",))
-    psi = exprlang.parse(f"{1.0 / one!r}*(1-s)", ("s",))
+    phi = exprlang.parse(f"{(1.0 + alpha) / one!r}*s*(1-s)", ENVELOPE_VARS)
+    psi = exprlang.parse(f"{1.0 / one!r}*(1-s)", ENVELOPE_VARS)
     return Envelope(
         phi=phi,
         psi=psi,

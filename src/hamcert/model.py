@@ -13,13 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
 from .quadopt import QuadResult, box_extremum_with_witness, integrate
+
+if TYPE_CHECKING:
+    from .greens3 import GreenParams
 
 KERNEL_VARS = ("t", "s")
 WEIGHT_VARS = ("s",)
@@ -41,26 +44,25 @@ class KernelSpec:
     """Kernel k(t,s) with its t-derivative and declared s-breakpoints.
 
     ``breakpoints(t)`` lists interior abscissas where k(t, .) may lose
-    smoothness.  ``is_expression`` marks closed-form kernels whose sign
-    changes in s must be located numerically when |k| is integrated.
+    smoothness.  ``green`` holds the Green family's parameters, or None for
+    a closed-form kernel, whose sign changes in s must be located
+    numerically when |k| is integrated.
     """
 
     k: Callable
     dk_dt: Callable
     breakpoints: Callable[[float], tuple[float, ...]]
-    is_expression: bool
-    source: str
+    green: GreenParams | None
 
     @staticmethod
-    def from_expressions(k_expr: Expr, dk_expr: Expr, source: str = "") -> "KernelSpec":
+    def from_expressions(k_expr: Expr, dk_expr: Expr) -> "KernelSpec":
         def k(t, s):
             return exprlang.evaluate(k_expr, {"t": t, "s": s})
 
         def dk(t, s):
             return exprlang.evaluate(dk_expr, {"t": t, "s": s})
 
-        label = source or f"k = {exprlang.pretty(k_expr)}"
-        return KernelSpec(k, dk, lambda t: (), True, label)
+        return KernelSpec(k, dk, lambda t: (), None)
 
 
 @dataclass(frozen=True)

@@ -101,16 +101,11 @@ class ExtremumResult:
 
 
 def _vectorized(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt ``fn`` to a vector-in, vector-out callable."""
+    """Adapt ``fn`` to a vector-in, vector-out callable; a scalar result is broadcast."""
 
     def call(x: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(fn(x), dtype=float)
-            if out.shape == x.shape:
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(fn(v)) for v in x])
+        out = np.asarray(fn(x), dtype=float)
+        return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
 
     return call
 

@@ -164,12 +164,11 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
 
 def apply_T(problem: SystemProblem, p: GridPair) -> GridPair:
     """One application of the integral operator to a GridPair."""
-    (k1, d1), (k2, d2) = _discretize(problem, len(p.grid)).matrices
     f1, f2 = (
         np.broadcast_to(nonlinearity(comp)(p.grid, p.u, p.du, p.v, p.dv), p.grid.shape)
         for comp in problem.components
     )
-    return GridPair(p.grid, k1 @ f1, d1 @ f1, k2 @ f2, d2 @ f2)
+    return linear_image(problem, f1, f2, len(p.grid))
 
 
 def _sup_distance(a: GridPair, b: GridPair) -> float:

@@ -40,13 +40,13 @@ def test_load_bundled_sign_changing(sign_changing):
     assert sign_changing.check.ladder == ((0.03, 0.3), (700.0, 600.0))
     assert sign_changing.check.resolution == 17
     assert sign_changing.solver.n == 401
-    assert sign_changing.green_params == (None, None)
+    assert [c.kernel.green for c in sign_changing.problem.components] == [None, None]
 
 
 def test_load_bundled_third_order(third_order):
     assert third_order.problem.variant is ConeVariant.NON_NEGATIVE_NON_DECREASING
     assert third_order.check.scenario is Scenario.S2_HAT
-    g1, g2 = third_order.green_params
+    g1, g2 = (c.kernel.green for c in third_order.problem.components)
     assert (g1.alpha, g1.eta) == (1.5, 0.5)
     assert (g2.alpha, g2.eta) == (2.0, pytest.approx(1 / 3))
     # component 1 overrides the envelope fraction; component 2 keeps the formula value
@@ -111,6 +111,18 @@ def test_envelope_range_errors_are_located(tmp_path, third_text, capsys, new, li
     assert capsys.readouterr().err == f"error: {path}:{line}:1: {fragment}\n"
 
 
+@pytest.mark.parametrize("old,new,line,fragment", [
+    ("n = 401", "n = 50", 54, "expected an integer >= 101, got '50'"),
+    ("theta = 1", "theta = x", 55, "unknown variable 'x'"),
+    ("max_iter = 200", "max_iter = 1.5", 57, "expected an integer >= 1, got '1.5'"),
+    ("init = zero", "init = hot", 58, "init must be 'zero' or 'bump', got 'hot'"),
+])
+def test_solver_section_errors_are_located(tmp_path, sign_text, capsys, old, new, line, fragment):
+    path = _write(tmp_path, sign_text.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    assert main(["solve", path]) == 1
+    assert capsys.readouterr().err == f"error: {path}:{line}:1: {fragment}\n"
+
+
 # --------------------------------------------------------- exit codes
 
 
@@ -139,6 +151,17 @@ def test_constants_exits_zero(capsys):
     assert main(["constants", bundled_path("sign_changing.prob")]) == 0
     out = capsys.readouterr().out
     assert "1/m1" in out or "m1" in out
+
+
+def test_constants_of_a_kernel_that_ignores_s(tmp_path, sign_text, capsys):
+    text = sign_text.replace("kernel = s*(7/8*t - t^2)\n", "kernel = 7/8*t - t^2 + 1/16\n", 1)
+    text = text.replace("kernel_dt = s*(7/8 - 2*t)\n", "kernel_dt = 7/8 - 2*t\n", 1)
+    out = tmp_path / "report.json"
+    assert main(["constants", _write(tmp_path, text), "--no-meta", "--out", str(out)]) == 0
+    rows = {r["name"]: r for r in json.loads(out.read_text())["constants"]}
+    # with g = 1, 1/m1 = max |k| at t = 7/16 and 1/m1* = max |dk/dt| at t = 1
+    assert rows["m1"]["reciprocal"] == pytest.approx(65 / 256, rel=1e-12)
+    assert rows["m1*"]["reciprocal"] == pytest.approx(9 / 8, rel=1e-12)
 
 
 def test_assumptions_sign_changing_exits_zero(capsys):

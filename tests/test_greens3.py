@@ -42,7 +42,7 @@ def test_kernel_point_values():
     assert spec.k(0.25, 0.75) == pytest.approx(1 / 32, abs=1e-15)
     assert spec.k(0.0, 0.3) == 0.0
     assert spec.k(0.0, 0.9) == 0.0
-    assert not spec.is_expression
+    assert spec.green == GreenParams(1.5, 0.5)
     # the seam locations are declared so quadrature can split panels there
     assert set(spec.breakpoints(0.25)) == {0.25, 0.5}
 

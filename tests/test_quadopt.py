@@ -41,7 +41,7 @@ def test_kink_without_breakpoint_still_converges():
 
 
 def test_oscillatory():
-    res = integrate(lambda s: math.cos(40.0 * s), 0.0, 1.0)
+    res = integrate(lambda s: np.cos(40.0 * s), 0.0, 1.0)
     assert abs(res.value - math.sin(40.0) / 40.0) <= 1e-12
 
 
@@ -109,6 +109,20 @@ def test_sign_change_roots_quadratic():
 
 def test_sign_change_roots_none():
     assert sign_change_roots(lambda s: 1.0 + s, 0.0, 1.0) == ()
+
+
+def test_integrand_that_ignores_its_argument_is_called_once_per_pass():
+    calls = []
+
+    def constant(s):
+        calls.append(np.shape(s))
+        return 0.75
+
+    assert integrate(constant, 0.0, 2.0).value == pytest.approx(1.5, abs=1e-14)
+    assert calls == [(15,)]  # one pass on one panel meets the tolerance
+    calls.clear()
+    assert sign_change_roots(constant, 0.0, 1.0) == ()
+    assert calls == [(256,)]  # the scan; no sign change to bisect
 
 
 def test_box_extremum_linear_attains_corner():
