@@ -95,8 +95,14 @@ class _Entry:
     col: int
 
 
-def _parse_sections(text: str, path: str) -> dict[str, dict[str, _Entry]]:
-    sections: dict[str, dict[str, _Entry]] = {}
+class _Section(dict):
+    """A section's entries by key; ``line`` is its header's."""
+
+    line = 1
+
+
+def _parse_sections(text: str, path: str) -> dict[str, _Section]:
+    sections: dict[str, _Section] = {}
     current: str | None = None
     saw_schema = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,8 +120,8 @@ def _parse_sections(text: str, path: str) -> dict[str, dict[str, _Entry]]:
                 raise ProblemFileError(f"duplicate section [{name}]", path, lineno)
             if not saw_schema:
                 raise ProblemFileError("first entry must be 'schema = 1'", path, lineno)
-            sections[name] = {}
-            current = name
+            sections[name] = _Section()
+            sections[name].line, current = lineno, name
             continue
         if "=" not in stripped:
             raise ProblemFileError(f"expected 'key = value', got {stripped!r}", path, lineno)
@@ -205,10 +211,10 @@ class LoadedProblem:
     solver: SolverConfig
 
 
-def _build_component(sec: dict[str, _Entry], name: str, path: str) -> Component:
+def _build_component(sec: _Section, name: str, path: str) -> Component:
     for key in ("kernel", "weight", "f"):
         if key not in sec:
-            raise ProblemFileError(f"[{name}] is missing {key!r}", path, 1)
+            raise ProblemFileError(f"[{name}] is missing {key!r}", path, sec.line)
     kentry = sec["kernel"]
     green = _GREEN_RE.fullmatch(kentry.value)
     if green is not None:

@@ -21,7 +21,8 @@ from .exprlang import Expr
 from .model import (
     ENVELOPE_VARS, AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s,
 )
-from .quadopt import MAX_AXIS_POINTS, integrate
+# integrate too: perfbench/tracing.py patches it by name in each module that integrates
+from .quadopt import MAX_AXIS_POINTS, integrate, integrate_rows  # noqa: F401
 
 
 class ParamError(ValueError):
@@ -114,11 +115,9 @@ def build_kernel(params: GreenParams) -> KernelSpec:
         for branches in (_kernel_branches, _derivative_branches)
     )
 
-    def breakpoints(t: float) -> tuple[float, ...]:
-        pts = {eta}
-        if 0.0 < t < 1.0:
-            pts.add(float(t))
-        return tuple(sorted(p for p in pts if 0.0 < p < 1.0))
+    def breakpoints(t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.full_like(t, eta), t], axis=-1)
 
     return KernelSpec(k, dk, breakpoints, params)
 
@@ -249,15 +248,11 @@ def verify_bvp(
     h_at = function_of_s(h)
     kern = build_kernel(params)
 
-    def w_at(kernel, t: float) -> float:  # w(t) with k, w'(t) with dk/dt
-        return integrate(
-            lambda s: kernel(np.array(t), s) * h_at(s),
-            0.0,
-            1.0,
-            breakpoints=kern.breakpoints(t),
-        ).value
+    def w_rows(kernel, rows: np.ndarray) -> np.ndarray:  # w with k, w' with dk/dt, at each t
+        integrand = lambda t, s: kernel(t, s) * h_at(s)
+        return integrate_rows(integrand, rows, 0.0, 1.0, kern.breakpoints(rows))[0]
 
-    w = np.array([w_at(kern.k, float(t)) for t in ts])
+    w = w_rows(kern.k, ts)
 
     # 4th-order central third difference on the 7-point stencil
     d3 = np.full(n_grid, np.nan)
@@ -275,9 +270,9 @@ def verify_bvp(
     ode_residual = float(resid[worst_i])
     worst_node = float(ts[worst_i])
 
-    bc0 = abs(w_at(kern.k, 0.0))
-    bc0p = abs(w_at(kern.dk_dt, 0.0))
-    bc3 = abs(w_at(kern.dk_dt, 1.0) - alpha * w_at(kern.dk_dt, eta))
+    # w(0) is w[0]; w'(0), w'(1) and w'(eta) are one batch
+    slope_0, slope_1, slope_eta = w_rows(kern.dk_dt, np.array([0.0, 1.0, eta])).tolist()
+    bc0, bc0p, bc3 = abs(float(w[0])), abs(slope_0), abs(slope_1 - alpha * slope_eta)
 
     report = ResidualReport(ode_residual, worst_node, bc0, bc0p, bc3, n_grid)
     if ode_residual > ode_tol:

@@ -2,9 +2,10 @@
 
 The integrator is a Gauss-Kronrod (7,15) pair with bisection refinement and
 caller-declared breakpoints, so piecewise-smooth integrands are split along
-their kinks before the first pass.  The extremum search seeds a uniform grid
-and polishes the best bracket with golden-section iteration; it never returns
-a value worse than the best seed.  Box extrema are plain tensor-grid scans
+their kinks before the first pass.  It integrates many rows t -> int f(t,s) ds
+at once, each row exactly as on its own.  The extremum search seeds a uniform
+grid and polishes the best bracket with golden-section iteration; it never
+returns a value worse than the best seed.  Box extrema are plain tensor-grid scans
 (corners included), run block by block in bounded memory; they are
 estimates, not certified bounds.
 """
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 # Gauss-Kronrod (7,15) nodes and weights on [-1, 1].  Kronrod nodes contain
-# the 7 Gauss nodes as every second entry.
+# the 7 Gauss nodes as every second entry, from the second.
 _XK = np.array([
     -0.991455371120813,
     -0.949107912342759,
@@ -62,7 +63,6 @@ _WG = np.array([
     0.279705391489277,
     0.129484966168870,
 ])
-_GAUSS_IDX = np.arange(1, 15, 2)
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -100,27 +100,166 @@ class ExtremumResult:
     samples: int
 
 
-def _vectorized(fn: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Adapt ``fn`` to a vector-in, vector-out callable; a scalar result is broadcast."""
-
-    def call(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(fn(x), dtype=float)
-        return out if out.shape == x.shape else np.broadcast_to(out, x.shape)
-
-    return call
+def _evaluate(fn: Callable, t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``fn(t, s)`` as floats of s's shape; a result of another shape is broadcast."""
+    out = np.asarray(fn(t, s), dtype=float)
+    return out if out.shape == s.shape else np.broadcast_to(out, s.shape)
 
 
-def _panels_eval(fn_vec, lo_arr: np.ndarray, hi_arr: np.ndarray):
-    """Evaluate the GK(7,15) pair on every panel at once."""
-    mid = 0.5 * (lo_arr + hi_arr)
-    half = 0.5 * (hi_arr - lo_arr)
+def _panels_eval(fn, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The GK(7,15) value and error of every panel, panel i integrating s -> fn(t[i], s).
+
+    At most BLOCK_VALUES / 4 nodes go through ``fn`` per call: a Green kernel
+    holds its four branches at once, and its temporaries stay near one block.
+    """
+    step = max(1, BLOCK_VALUES // (4 * _XK.size))
+    if len(lo) > step:
+        parts = [_panels_eval(fn, t[i:i + step], lo[i:i + step], hi[i:i + step])
+                 for i in range(0, len(lo), step)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    vals = fn_vec(nodes.ravel()).reshape(nodes.shape)
+    vals = _evaluate(fn, t[:, None], nodes)
     k15 = half * (vals * _WK[None, :]).sum(axis=1)
-    g7 = half * (vals[:, _GAUSS_IDX] * _WG[None, :]).sum(axis=1)
-    resabs = np.abs(half) * (np.abs(vals) * _WK[None, :]).sum(axis=1)
-    err = np.maximum(np.abs(k15 - g7), 50.0 * np.finfo(float).eps * resabs)
-    return k15, err
+    g7 = half * (vals[:, 1::2] * _WG[None, :]).sum(axis=1)  # the Gauss nodes
+    resabs = half * (np.abs(vals) * _WK[None, :]).sum(axis=1)
+    return k15, np.maximum(np.abs(k15 - g7), 50.0 * np.finfo(float).eps * resabs)
+
+
+def _row_sums(x: np.ndarray, counts: np.ndarray, uniform: bool) -> np.ndarray:
+    """Each row's sum of its ``counts[r]`` consecutive entries, bit-identical to ``run.sum()``.
+
+    Rows of equal count are summed as one (rows, count) array; np.add.reduceat
+    would add sequentially and round differently.
+    """
+    if uniform:
+        return x.reshape(len(counts), -1).sum(axis=1)
+    out = np.empty(len(counts))
+    starts = np.cumsum(counts) - counts
+    for c in np.flatnonzero(np.bincount(counts)):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(counts == c)
+        out[rows] = x[starts[rows, None] + np.arange(c)].sum(axis=1)
+    return out
+
+
+def _first_panels(ts: np.ndarray, lo: float, hi: float, breakpoints):
+    """Each row's panels between lo, its breakpoints and hi: row, t, lo, hi; count per row.
+
+    A breakpoint is an edge if it lies inside (lo, hi) and more than 1e-15
+    (relative, above 1) past the row's last edge.
+    """
+    bps = np.empty((len(ts), 0)) if breakpoints is None else breakpoints
+    if len(ts) == 1:  # plain floats beat a dozen array operations on one row
+        edges = [lo]
+        for b in sorted({float(b) for b in bps[0] if lo < b < hi}):
+            if b - edges[-1] > 1e-15 * max(1.0, abs(b)):
+                edges.append(b)
+        edges, n = np.array(edges + [hi]), len(edges)
+        return np.zeros(n, dtype=int), ts.repeat(n), edges[:-1], edges[1:], np.array([n])
+    bps = np.sort(np.asarray(bps, dtype=float).reshape(len(ts), -1), axis=1)
+    edges = np.column_stack([np.full(len(ts), lo), bps, np.full(len(ts), hi)])
+    keep = np.ones(edges.shape, dtype=bool)
+    last = edges[:, 0]
+    for j in range(1, edges.shape[1] - 1):  # the same rule, one breakpoint column at a time
+        b = edges[:, j]
+        keep[:, j] = (lo < b) & (b < hi) & (b - last > 1e-15 * np.maximum(1.0, np.abs(b)))
+        last = np.where(keep[:, j], b, last)
+    rows, edges = np.nonzero(keep)[0], edges[keep]
+    inner = rows[1:] == rows[:-1]  # each edge but a row's last starts a panel
+    row = rows[:-1][inner]
+    return row, ts[row], edges[:-1][inner], edges[1:][inner], np.count_nonzero(keep, axis=1) - 1
+
+
+def integrate_rows(
+    fn: Callable,
+    ts,
+    lo: float,
+    hi: float,
+    breakpoints=None,
+    tol: float = 1e-12,
+    max_panels: int = 10_000,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integrate s -> fn(t, s) over [lo, hi] to absolute tolerance ``tol`` for every t in ``ts``.
+
+    ``fn`` gets a column of t values and an array of s nodes, a row of nodes
+    per t; its result must broadcast to the nodes.  ``breakpoints`` holds a
+    row per t of abscissas where the integrand may lose smoothness (NaN,
+    repeats and points outside (lo, hi) are ignored).  Each row runs
+    integrate's algorithm on its own panels and gets its (value, error
+    bound, panel count) bit for bit; all rows' new panels go through ``fn``
+    at once, at most BLOCK_VALUES / 4 nodes per call.  Raises the
+    QuadratureFailure of the first failing row.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise ValueError(f"bad integration interval [{lo}, {hi}]")
+    ts = np.asarray(ts, dtype=float)
+    if lo == hi or not len(ts):
+        return np.zeros(len(ts)), np.zeros(len(ts)), np.ones(len(ts), dtype=int)
+
+    row, t_arr, lo_arr, hi_arr, counts = _first_panels(ts, lo, hi, breakpoints)
+    vals, errs = _panels_eval(fn, t_arr, lo_arr, hi_arr)
+    panel = failure = None
+    ids = np.arange(len(ts))  # the rows still refining, in t order
+    finished = []  # (ids, values, error bounds, panel counts) of rows as they finish
+    while True:
+        uniform = len(counts) == 1 or counts.min() == counts.max()
+        total_err = _row_sums(errs, counts, uniform)
+        if total_err.max() <= tol:  # every row is done (NaN is never below tol)
+            finished.append((ids, _row_sums(vals, counts, uniform), total_err, counts))
+            break
+        done = total_err <= tol
+        select = errs > 0.45 * tol * (hi_arr - lo_arr) / (hi - lo)
+        n_sel = np.bincount(row[select], minlength=len(counts))
+        if not n_sel.all():  # such a row splits its panels of largest error
+            top = np.maximum.reduceat(errs, np.cumsum(counts) - counts)
+            select |= (n_sel == 0)[row] & (errs == top[row])
+            n_sel = np.bincount(row[select], minlength=len(counts))
+        finite = np.isfinite(total_err)  # not so if a panel's value is not finite
+        go = ~done & finite & (counts + n_sel <= max_panels)
+        if go.all():
+            split, stay, counts = select, ~select, counts + n_sel
+        else:  # some rows are done or fail
+            values = _row_sums(vals, counts, uniform)
+            if not (go | done).all():
+                first = int(np.argmin(go | done))  # ids ascend: the first failing t
+                failure = QuadratureFailure(
+                    f"subdivision cap {max_panels} reached "
+                    f"(error {total_err[first]:.3e} > tol {tol:.3e})"
+                    if finite[first] else "non-finite panel value or error estimate",
+                    float(values[first]),
+                    float(total_err[first]),
+                    int(counts[first]),
+                )
+                go[first:] = False  # a later row's result no longer matters
+            finished.append((ids[done], values[done], total_err[done], counts[done]))
+            if not go.any():
+                break
+            split, stay, counts = select & go[row], ~select & go[row], (counts + n_sel)[go]
+            row = (np.cumsum(go) - 1)[row]
+            ids = ids[go]
+        if panel is None:  # one column per panel: t, lo, hi, value, error
+            panel = np.array([t_arr, lo_arr, hi_arr, vals, errs])
+        left = panel.compress(split, axis=1)
+        right = left.copy()
+        left[2] = right[1] = 0.5 * (left[1] + left[2])
+        sub = np.concatenate([left, right], axis=1)
+        sub[3], sub[4] = _panels_eval(fn, sub[0], sub[1], sub[2])
+        # each row's panels in the one-row order: kept, then left halves, then right halves
+        panel = np.concatenate([panel.compress(stay, axis=1), sub], axis=1)
+        if len(ids) == 1:
+            row = np.zeros(panel.shape[1], dtype=int)
+        else:
+            row = np.concatenate([row[stay], row[split], row[split]])
+            order = np.argsort(row, kind="stable")
+            panel, row = panel[:, order], row[order]
+        t_arr, lo_arr, hi_arr, vals, errs = panel
+    if failure is not None:
+        raise failure
+    if len(finished) == 1:  # every row finished in the same round
+        return finished[0][1:]
+    order = np.argsort(np.concatenate([f[0] for f in finished]))
+    return tuple(np.concatenate(part)[order] for part in list(zip(*finished))[1:])
 
 
 def integrate(
@@ -131,74 +270,32 @@ def integrate(
     tol: float = 1e-12,
     max_panels: int = 10_000,
 ) -> QuadResult:
-    """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``.
+    """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``: one row of integrate_rows.
 
-    ``breakpoints`` are interior abscissas where the integrand may lose
-    smoothness; panels never straddle them.  Raises QuadratureFailure (still
-    carrying the best value and achieved error) once ``max_panels`` panels
-    would be exceeded, or as soon as a panel's value or error is not finite.
+    Panels never straddle ``breakpoints``.  Raises QuadratureFailure (carrying
+    the best value and achieved error) once ``max_panels`` panels would be
+    exceeded, or as soon as a panel's value or error is not finite.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise ValueError(f"bad integration interval [{lo}, {hi}]")
-    if lo == hi:
-        return QuadResult(0.0, 0.0, 1)
-
-    fn_vec = _vectorized(fn)
-    interior = sorted({float(b) for b in breakpoints if lo < b < hi})
-    edges = [lo]
-    for b in interior:
-        if b - edges[-1] > 1e-15 * max(1.0, abs(b)):
-            edges.append(b)
-    edges.append(hi)
-
-    lo_arr = np.array(edges[:-1])
-    hi_arr = np.array(edges[1:])
-    vals, errs = _panels_eval(fn_vec, lo_arr, hi_arr)
-    span = hi - lo
-
-    while True:
-        total_err = float(errs.sum())
-        if not math.isfinite(total_err):  # so is any panel whose value is not finite
-            raise QuadratureFailure("non-finite panel value or error estimate",
-                                    float(vals.sum()), total_err, len(lo_arr))
-        if total_err <= tol:
-            return QuadResult(float(vals.sum()), total_err, len(lo_arr))
-        widths = hi_arr - lo_arr
-        select = errs > 0.45 * tol * widths / span
-        if not select.any():
-            select = errs == errs.max()
-        n_new = len(lo_arr) + int(select.sum())
-        if n_new > max_panels:
-            raise QuadratureFailure(
-                f"subdivision cap {max_panels} reached (error {total_err:.3e} > tol {tol:.3e})",
-                float(vals.sum()),
-                total_err,
-                len(lo_arr),
-            )
-        mid = 0.5 * (lo_arr[select] + hi_arr[select])
-        sub_lo = np.concatenate([lo_arr[select], mid])
-        sub_hi = np.concatenate([mid, hi_arr[select]])
-        sub_vals, sub_errs = _panels_eval(fn_vec, sub_lo, sub_hi)
-        lo_arr = np.concatenate([lo_arr[~select], sub_lo])
-        hi_arr = np.concatenate([hi_arr[~select], sub_hi])
-        vals = np.concatenate([vals[~select], sub_vals])
-        errs = np.concatenate([errs[~select], sub_errs])
+    values, errors, panels = integrate_rows(
+        lambda t, s: fn(s), np.zeros(1), lo, hi, (breakpoints,), tol, max_panels
+    )
+    return QuadResult(float(values[0]), float(errors[0]), int(panels[0]))
 
 
 def extremize(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     mode: str = "max",
     n_seed: int = 129,
     tol: float = 1e-10,
 ) -> ExtremumResult:
-    """Locate an extremum of ``fn`` on [lo, hi].
+    """Locate an extremum on [lo, hi] of ``fn``, which maps an array of abscissas to values.
 
-    Seeds ``n_seed`` uniform points (endpoints included), then refines the
-    best bracketing triple by golden-section search down to interval width
-    ``tol``.  Ties prefer the smallest abscissa; the result is never worse
-    than the best seed.
+    Seeds ``n_seed`` uniform points (endpoints included) in one call, then
+    refines the best bracketing triple by golden-section search down to
+    interval width ``tol``, one point per call.  Ties prefer the smallest
+    abscissa; the result is never worse than the best seed.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
@@ -211,12 +308,12 @@ def extremize(
     xs = np.linspace(lo, hi, n_seed)
     samples = 0
 
-    def g(x: float) -> float:
+    def g(x: np.ndarray) -> np.ndarray:
         nonlocal samples
-        samples += 1
-        return sign * float(fn(float(x)))
+        samples += x.size
+        return sign * np.broadcast_to(np.asarray(fn(x), dtype=float), x.shape)
 
-    ys = np.array([g(x) for x in xs])
+    ys = g(xs)
     best_i = int(np.argmax(ys))
     best_x, best_y = float(xs[best_i]), float(ys[best_i])
 
@@ -224,16 +321,16 @@ def extremize(
     b = float(xs[min(best_i + 1, n_seed - 1)])
     c = a + (1.0 - _INV_PHI) * (b - a)
     d = a + _INV_PHI * (b - a)
-    fc, fd = g(c), g(d)
+    fc, fd = g(np.array([c, d])).tolist()
     while b - a > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = a + (1.0 - _INV_PHI) * (b - a)
-            fc = g(c)
+            (fc,) = g(np.array([c])).tolist()
         else:
             a, c, fc = c, d, fd
             d = a + _INV_PHI * (b - a)
-            fd = g(d)
+            (fd,) = g(np.array([d])).tolist()
         x_cand, y_cand = (c, fc) if fc >= fd else (d, fd)
         if y_cand > best_y or (y_cand == best_y and x_cand < best_x):
             best_x, best_y = float(x_cand), float(y_cand)
@@ -311,39 +408,43 @@ def box_extremum_with_witness(
 
 def sign_change_roots(
     fn: Callable,
+    ts,
     lo: float,
     hi: float,
     n_scan: int = 256,
     xtol: float = 1e-14,
-) -> tuple[float, ...]:
-    """Interior roots of ``fn`` on [lo, hi] located by scan plus bisection.
+) -> list[tuple[float, ...]]:
+    """Interior roots in s of fn(t, s) on [lo, hi] for each t in ``ts``, by scan plus bisection.
 
-    The scan uses ``n_scan`` uniform points; each sign change is refined by
-    bisection.  Roots the scan steps over are not found.
+    ``fn`` is called as in integrate_rows, first on a (rows, ``n_scan``) grid
+    of uniform points.  Each sign change is refined by bisection, all rows at
+    once, until the row's widest bracket is at most ``xtol``.  Roots the scan
+    steps over are not found.
     """
-    fn_vec = _vectorized(fn)
+    ts = np.asarray(ts, dtype=float)
     xs = np.linspace(lo, hi, n_scan)
-    ys = fn_vec(xs)
-    roots: list[float] = []
-    exact = np.nonzero(ys == 0.0)[0]
-    for i in exact:
-        if 0 < i < n_scan - 1:
-            roots.append(float(xs[i]))
-    flips = np.nonzero(ys[:-1] * ys[1:] < 0.0)[0]
-    a = xs[flips].astype(float)
-    b = xs[flips + 1].astype(float)
-    fa = ys[flips].astype(float)
-    while a.size and np.max(b - a) > xtol:
-        m = 0.5 * (a + b)
-        fm = fn_vec(m)
-        go_left = fa * fm <= 0.0
-        b = np.where(go_left, m, b)
-        a = np.where(go_left, a, m)
-        fa = np.where(go_left, fa, fm)
-    roots.extend(float(x) for x in 0.5 * (a + b))
-    interior = sorted(r for r in roots if lo + xtol < r < hi - xtol)
-    out: list[float] = []
-    for r in interior:
-        if not out or r - out[-1] > 10 * xtol:
-            out.append(r)
-    return tuple(out)
+    ys = _evaluate(fn, ts[:, None], np.broadcast_to(xs, (len(ts), n_scan)))
+    zero_row, zero = np.nonzero(ys[:, 1:-1] == 0.0)
+    row, flips = np.nonzero(ys[:, :-1] * ys[:, 1:] < 0.0)
+    a, b, fa = xs[flips], xs[flips + 1], ys[row, flips]
+    while a.size:
+        widest = np.zeros(len(ts))
+        np.maximum.at(widest, row, b - a)
+        live = widest[row] > xtol
+        if not live.any():
+            break
+        m = 0.5 * (a[live] + b[live])
+        fm = _evaluate(fn, ts[row[live], None], m[:, None])[:, 0]
+        left = fa[live] * fm <= 0.0
+        a[live], b[live] = np.where(left, a[live], m), np.where(left, m, b[live])
+        fa[live] = np.where(left, fa[live], fm)
+    owner = np.concatenate([zero_row, row])
+    found = np.concatenate([xs[zero + 1], 0.5 * (a + b)])
+    out = []
+    for r in range(len(ts)):
+        merged: list[float] = []
+        for x in sorted(x for x in found[owner == r].tolist() if lo + xtol < x < hi - xtol):
+            if not merged or x - merged[-1] > 10 * xtol:
+                merged.append(x)
+        out.append(tuple(merged))
+    return out

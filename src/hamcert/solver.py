@@ -120,7 +120,7 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     """
     grid = _uniform_grid(n)
     grid.flags.writeable = False
-    bps = [comp.kernel.breakpoints(float(t)) for comp in problem.components for t in grid]
+    bps = [comp.kernel.breakpoints(grid).ravel() for comp in problem.components]
     edges = np.unique(np.concatenate([grid, *bps]))
     edges = edges[(edges >= 0.0) & (edges <= 1.0)]
     edges = edges[np.r_[True, np.diff(edges) > 1e-12]]  # merge near-duplicates
@@ -146,7 +146,7 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
             for r in range(0, n, rows):
                 t = grid[r:r + rows, None]
                 vals = buf[:len(t)]
-                seams = np.searchsorted(s, [*bps_at(t[0, 0]), *bps_at(t[-1, 0])])
+                seams = np.searchsorted(s, bps_at(t[[0, -1], 0]).ravel())
                 cuts = np.unique(np.r_[0, seams, len(s)])
                 for a, b in zip(cuts[:-1], cuts[1:]):
                     vals[:, a:b] = kern(t, s[a:b])

@@ -96,6 +96,23 @@ def test_green_kernel_parameter_errors_are_located(tmp_path, third_text):
         load_problem(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("component", [1, 2])
+@pytest.mark.parametrize("key", ["kernel", "weight", "f"])
+def test_a_missing_key_is_reported_at_its_section_header(tmp_path, sign_text, capsys,
+                                                          component, key):
+    header = f"[component.{component}]"
+    head, _, body = sign_text.partition(header + "\n")
+    body, _, tail = body.partition("\n\n")
+    lines = [ln for ln in body.splitlines() if not ln.startswith(f"{key} =")]
+    path = _write(tmp_path, head + header + "\n" + "\n".join(lines) + "\n\n" + tail)
+    line = head.count("\n") + 1
+    assert line == {1: 8, 2: 25}[component]
+    assert main(["constants", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line}:1: [component.{component}] is missing '{key}'\n"
+    )
+
+
 @pytest.mark.parametrize("new,line,fragment", [
     ("c = 2", 15, "need c in (0, 1], got 2.0"),
     ("c = 1/45\nb = 0.5\na = 0.9", 17, "need 0 <= a < b <= 1, got a=0.9, b=0.5"),

@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hamcert import exprlang
+from hamcert import constants, exprlang
 from hamcert.constants import (
     DegenerateConstant,
     compute_component,
@@ -146,3 +146,28 @@ def test_zero_weight_is_degenerate(sign_changing):
     )
     with pytest.raises(DegenerateConstant):
         compute_component(comp, 1)
+
+
+def test_each_constant_asks_for_its_seeds_in_one_call(sign_changing, monkeypatch):
+    # the 129 seeds are one call of the row integral, and the sign changes of
+    # an expression kernel's |K| rows are located in one scan of all of them
+    sizes, scans = [], []
+    real_extremize, real_roots = constants.extremize, constants.sign_change_roots
+
+    def extremize(fn, lo, hi, **kwargs):
+        def recorded(ts):
+            sizes.append(len(ts))
+            return fn(ts)
+        return real_extremize(recorded, lo, hi, **kwargs)
+
+    def roots(fn, ts, *args, **kwargs):
+        scans.append(len(ts))
+        return real_roots(fn, ts, *args, **kwargs)
+
+    monkeypatch.setattr(constants, "extremize", extremize)
+    monkeypatch.setattr(constants, "sign_change_roots", roots)
+    found = compute_component(sign_changing.problem.comp1, 1)
+    assert sizes.count(129) == 4  # m, m*, M, M*
+    assert set(sizes) - {129} == {1, 2}  # golden-section points
+    assert scans.count(129) == 2  # |k| and |dk/dt| for m and m*
+    assert found.m.extremal_integral == pytest.approx(49 / 512, rel=1e-9)

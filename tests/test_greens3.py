@@ -1,6 +1,8 @@
 """Three-point third-order kernel family: branches, envelopes, BVP residuals."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,9 +240,47 @@ def test_bvp_grid_validation(monkeypatch):
     def no_integrals(*args, **kwargs):
         raise AssertionError("integrated on an over-resolved grid")
 
-    monkeypatch.setattr(greens3, "integrate", no_integrals)
+    monkeypatch.setattr(greens3, "integrate_rows", no_integrals)
     with pytest.raises(ValueError, match="between 101 and"):
         verify_bvp(GreenParams(1.5, 0.5), _h("1"), n_grid=quadopt.MAX_AXIS_POINTS + 1)
+
+
+def test_bvp_evaluates_its_kernel_a_few_times(monkeypatch):
+    # w at all 2001 nodes and the boundary slopes are two batched integrals
+    calls = []
+    real = greens3.build_kernel
+
+    def counting(params):
+        spec = real(params)
+
+        def counted(kernel):
+            def at(t, s):
+                calls.append(np.broadcast(t, s).size)
+                return kernel(t, s)
+            return at
+
+        return dataclasses.replace(spec, k=counted(spec.k), dk_dt=counted(spec.dk_dt))
+
+    monkeypatch.setattr(greens3, "build_kernel", counting)
+    rep = verify_bvp(GreenParams(1.5, 0.5), _h("s"), n_grid=2001)
+    assert rep.ode_residual < 1e-4
+    assert 0 < len(calls) <= 10
+    assert max(calls) <= quadopt.BLOCK_VALUES
+
+
+def test_bvp_matches_one_row_integrals():
+    params, h = GreenParams(2.0, 1 / 3), _h("s")
+    spec = build_kernel(params)
+    h_at = lambda s: s
+
+    def w_at(kernel, t):
+        return integrate(lambda s: kernel(np.array(t), s) * h_at(s), 0.0, 1.0,
+                         breakpoints=spec.breakpoints(t)).value
+
+    rep = verify_bvp(params, h, n_grid=101)
+    assert rep.bc_at_zero == abs(w_at(spec.k, 0.0))
+    assert rep.bc_slope_at_zero == abs(w_at(spec.dk_dt, 0.0))
+    assert rep.bc_three_point == abs(w_at(spec.dk_dt, 1.0) - 2.0 * w_at(spec.dk_dt, 1 / 3))
 
 
 valid_params = st.tuples(

@@ -4,11 +4,12 @@ from __future__ import annotations
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import exprlang
+from hamcert import exprlang, greens3
 from hamcert.model import (
     HINT_VARS,
     KERNEL_VARS,
@@ -155,3 +156,44 @@ def test_bound_hints_default_to_absent():
 
 def test_hint_vars_are_radii():
     assert HINT_VARS == ("rho1", "rho2")
+
+
+def _derivative_check_by_rows(spec, n_t=40, n_s=40, step=1e-5):
+    """The consistency check one t row at a time: the reference for the grid version."""
+    ts = np.linspace(step, 1.0 - step, n_t)
+    ss = np.linspace(0.0, 1.0, n_s)
+    worst, where, checked = -np.inf, (0.0, 0.0), 0
+    for t in ts:
+        mask = np.ones_like(ss, dtype=bool)
+        for bp in np.atleast_1d(spec.breakpoints(t)):
+            mask &= np.abs(ss - bp) > 10 * step
+        if not mask.any():
+            continue
+        s_ok = ss[mask]
+        fd = (np.asarray(spec.k(t + step, s_ok)) - np.asarray(spec.k(t - step, s_ok))) / (2 * step)
+        exact = np.asarray(spec.dk_dt(t, s_ok)) * np.ones_like(s_ok)
+        viol = np.abs(fd - exact) - np.maximum(1e-6, 1e-4 * np.abs(exact))
+        checked += len(s_ok)
+        j = int(np.argmax(viol))
+        if viol[j] > worst:
+            worst, where = float(viol[j]), (float(t), float(s_ok[j]))
+    return worst, where, checked
+
+
+@pytest.mark.parametrize("green", [(1.5, 0.5), (2.0, 1 / 3), None])
+def test_kernel_derivative_grid_matches_row_by_row_check(green):
+    if green is None:  # a wrong declared derivative, so the worst cell is not trivial
+        spec = KernelSpec.from_expressions(
+            exprlang.parse("s*(7/8*t - t^2) + sin(9*t*s)", KERNEL_VARS),
+            exprlang.parse("s*(7/8 - 3*t) + 9*s*cos(9*t*s)", KERNEL_VARS),
+        )
+    else:
+        spec = greens3.build_kernel(greens3.GreenParams(*green))
+    worst, where, checked = _derivative_check_by_rows(spec)
+    calls = []
+    counted = lambda f: (lambda t, s: calls.append(1) or f(t, s))
+    spec = dataclasses.replace(spec, k=counted(spec.k), dk_dt=counted(spec.dk_dt))
+    item = check_kernel_derivative(spec).items[0]
+    assert (item.worst_violation, item.location) == (worst, where)
+    assert check_kernel_derivative(spec).note == f"{checked} samples, step 1e-05"
+    assert len(calls) == 2 * 3  # k twice and dk/dt once per check, not once per t

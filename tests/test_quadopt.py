@@ -69,10 +69,10 @@ def test_non_finite_panels_raise(value):
 
 
 def test_extremize_sine():
-    top = extremize(lambda x: math.sin(3 * math.pi * x), 0.0, 1.0, mode="max")
+    top = extremize(lambda x: np.sin(3 * math.pi * x), 0.0, 1.0, mode="max")
     assert top.value == pytest.approx(1.0, abs=1e-9)
     assert top.location == pytest.approx(1 / 6, abs=1e-6)
-    bot = extremize(lambda x: math.sin(3 * math.pi * x), 0.0, 1.0, mode="min")
+    bot = extremize(lambda x: np.sin(3 * math.pi * x), 0.0, 1.0, mode="min")
     assert bot.value == pytest.approx(-1.0, abs=1e-9)
     assert 0.0 <= bot.location <= 1.0
     assert bot.mode == "min"
@@ -80,7 +80,7 @@ def test_extremize_sine():
 
 def test_extremize_never_worse_than_seed_grid():
     def fn(x):
-        return math.sin(17.0 * x) + 0.3 * math.cos(39.0 * x) - x * x
+        return np.sin(17.0 * x) + 0.3 * np.cos(39.0 * x) - x * x
 
     seeds = np.linspace(0.0, 1.0, 129)
     best_seed = max(fn(x) for x in seeds)
@@ -101,14 +101,14 @@ def test_extremize_rejects_bad_mode():
 
 
 def test_sign_change_roots_quadratic():
-    roots = sign_change_roots(lambda s: (s - 1 / 3) * (s - 0.77), 0.0, 1.0)
+    (roots,) = sign_change_roots(lambda t, s: (s - 1 / 3) * (s - 0.77), [0.0], 0.0, 1.0)
     assert len(roots) == 2
     assert roots[0] == pytest.approx(1 / 3, abs=1e-10)
     assert roots[1] == pytest.approx(0.77, abs=1e-10)
 
 
 def test_sign_change_roots_none():
-    assert sign_change_roots(lambda s: 1.0 + s, 0.0, 1.0) == ()
+    assert sign_change_roots(lambda t, s: 1.0 + s, [0.0], 0.0, 1.0) == [()]
 
 
 def test_integrand_that_ignores_its_argument_is_called_once_per_pass():
@@ -119,10 +119,10 @@ def test_integrand_that_ignores_its_argument_is_called_once_per_pass():
         return 0.75
 
     assert integrate(constant, 0.0, 2.0).value == pytest.approx(1.5, abs=1e-14)
-    assert calls == [(15,)]  # one pass on one panel meets the tolerance
+    assert calls == [(1, 15)]  # one pass on one panel meets the tolerance
     calls.clear()
-    assert sign_change_roots(constant, 0.0, 1.0) == ()
-    assert calls == [(256,)]  # the scan; no sign change to bisect
+    assert sign_change_roots(lambda t, s: constant(s), [0.0], 0.0, 1.0) == [()]
+    assert calls == [(1, 256)]  # the scan; no sign change to bisect
 
 
 def test_box_extremum_linear_attains_corner():
@@ -254,3 +254,182 @@ def test_box_extremum_rejects_bad_input():
 def test_integrate_is_linear(a, b):
     res = integrate(lambda s: a * s * s + b * s, 0.0, 1.0)
     assert res.value == pytest.approx(a / 3 + b / 2, rel=1e-12, abs=1e-10)
+
+
+# ------------------------------------------------------------- row batches
+
+ROW_INTEGRANDS = {
+    "cos(40ts)": lambda t, s: np.cos(40.0 * t * s),
+    "sqrt|s-t|": lambda t, s: np.sqrt(np.abs(s - t)),
+    "exp(-50(s-t)^2)": lambda t, s: np.exp(-50.0 * (s - t) ** 2),
+}
+
+
+def _outcome(call):
+    """A quadrature's (value, error, panels), or its failure's (message, value, error, panels)."""
+    try:
+        return call()
+    except QuadratureFailure as exc:
+        return (str(exc), exc.value, exc.error_bound, exc.subdivisions)
+
+
+def _scalar_reference(fn, lo, hi, breakpoints=(), tol=1e-12, max_panels=10_000):
+    """The one-row adaptive GK(7,15) loop, written out on its own: what each row must give."""
+    interior = sorted({float(b) for b in breakpoints if lo < b < hi})
+    edges = [lo]
+    for b in interior:
+        if b - edges[-1] > 1e-15 * max(1.0, abs(b)):
+            edges.append(b)
+    edges.append(hi)
+
+    def panels(a, b):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * quadopt._XK[None, :]
+        vals = np.asarray(fn(nodes.ravel()), dtype=float).reshape(nodes.shape)
+        k15 = half * (vals * quadopt._WK[None, :]).sum(axis=1)
+        g7 = half * (vals[:, 1::2] * quadopt._WG[None, :]).sum(axis=1)
+        resabs = np.abs(half) * (np.abs(vals) * quadopt._WK[None, :]).sum(axis=1)
+        return k15, np.maximum(np.abs(k15 - g7), 50.0 * np.finfo(float).eps * resabs)
+
+    lo_arr, hi_arr = np.array(edges[:-1]), np.array(edges[1:])
+    vals, errs = panels(lo_arr, hi_arr)
+    while True:
+        total_err = float(errs.sum())
+        if not math.isfinite(total_err):
+            raise QuadratureFailure("non-finite panel value or error estimate",
+                                    float(vals.sum()), total_err, len(lo_arr))
+        if total_err <= tol:
+            return (float(vals.sum()), total_err, len(lo_arr))
+        select = errs > 0.45 * tol * (hi_arr - lo_arr) / (hi - lo)
+        if not select.any():
+            select = errs == errs.max()
+        if len(lo_arr) + int(select.sum()) > max_panels:
+            raise QuadratureFailure(
+                f"subdivision cap {max_panels} reached (error {total_err:.3e} > tol {tol:.3e})",
+                float(vals.sum()), total_err, len(lo_arr),
+            )
+        mid = 0.5 * (lo_arr[select] + hi_arr[select])
+        sub_lo = np.concatenate([lo_arr[select], mid])
+        sub_hi = np.concatenate([mid, hi_arr[select]])
+        sub_vals, sub_errs = panels(sub_lo, sub_hi)
+        lo_arr = np.concatenate([lo_arr[~select], sub_lo])
+        hi_arr = np.concatenate([hi_arr[~select], sub_hi])
+        vals = np.concatenate([vals[~select], sub_vals])
+        errs = np.concatenate([errs[~select], sub_errs])
+
+
+def _one_row(fn, t, breakpoints, **kwargs):
+    """A one-row call's outcome, checked bit for bit against the scalar reference loop."""
+    row = lambda s: fn(np.array(t), s)
+
+    def call():
+        res = integrate(row, 0.0, 1.0, breakpoints=breakpoints, **kwargs)
+        return (res.value, res.error_bound, res.subdivisions)
+
+    outcome = _outcome(call)
+    assert repr(outcome) == repr(_outcome(
+        lambda: _scalar_reference(row, 0.0, 1.0, breakpoints, **kwargs)))
+    return outcome
+
+
+def _rows_against_one_row_calls(fn, ts, bps, **kwargs):
+    """The batch's outcome and the one expected from one-row calls."""
+    width = max(len(b) for b in bps)
+    padded = [list(b) + [np.nan] * (width - len(b)) for b in bps]
+    rows = _outcome(lambda: list(zip(
+        *(x.tolist() for x in quadopt.integrate_rows(fn, ts, 0.0, 1.0, padded, **kwargs))
+    )))
+    expected = []
+    for t, b in zip(ts, bps):
+        one = _one_row(fn, t, b, **kwargs)
+        if isinstance(one[0], str):  # the first failing row's failure is the batch's
+            return rows, one
+        expected.append(one)
+    return rows, expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=10),
+    name=st.sampled_from(sorted(ROW_INTEGRANDS)),
+    at=st.sampled_from(["none", "t", "t and eta"]),
+    tol=st.sampled_from([1e-12, 1e-9, 1e-6]),
+)
+def test_each_row_equals_a_one_row_call_bit_for_bit(ts, name, at, tol):
+    bps = [{"none": (), "t": (t,), "t and eta": (t, 0.37)}[at] for t in ts]
+    rows, expected = _rows_against_one_row_calls(ROW_INTEGRANDS[name], ts, bps, tol=tol)
+    assert repr(rows) == repr(expected)  # bit for bit, NaN included
+
+
+def test_rows_refine_to_different_panel_counts():
+    ts = [0.0, 0.3, 0.5, 0.8, 1.0]
+    fn = ROW_INTEGRANDS["sqrt|s-t|"]
+    rows, expected = _rows_against_one_row_calls(fn, ts, [()] * len(ts))
+    assert repr(rows) == repr(expected)  # bit for bit, NaN included
+    assert len({panels for _, _, panels in rows}) > 1
+
+
+def test_a_non_finite_row_raises_its_one_row_failure():
+    # t = 0.7 and 0.9 fail in the first round, on two panels and on one
+    fn = lambda t, s: np.where((t > 0.5) & (s > 0.3), np.inf, 1.0 + t * s)
+    with np.errstate(invalid="ignore"):
+        rows, expected = _rows_against_one_row_calls(
+            fn, [0.1, 0.7, 0.9, 0.2], [(), (0.5,), (), ()]
+        )
+    assert repr(rows) == repr(expected)  # bit for bit, NaN included
+    assert "non-finite" in rows[0] and rows[3] == 2
+
+
+def test_the_first_failing_row_wins_even_if_a_later_row_fails_sooner():
+    # t = 0.5 reaches the panel cap after several rounds; t = 0.9 is not
+    # finite in the first round, but the one-row loop would meet t = 0.5 first
+    # t = 0.5 and 0.6 reach it in the same round, with different errors
+    fn = lambda t, s: np.where(t > 0.8, np.inf, t / s)
+    with np.errstate(invalid="ignore"):
+        rows, expected = _rows_against_one_row_calls(
+            fn, [0.0, 0.5, 0.6, 0.9], [()] * 4, max_panels=64
+        )
+    assert repr(rows) == repr(expected)  # bit for bit, NaN included
+    assert rows[0].startswith("subdivision cap 64 reached")
+
+
+def test_rows_are_evaluated_in_blocks(monkeypatch):
+    monkeypatch.setattr(quadopt, "BLOCK_VALUES", 100)
+    sizes = []
+
+    def fn(t, s):
+        sizes.append(np.broadcast(t, s).size)
+        return np.cos(40.0 * t * s)
+
+    ts = np.linspace(0.0, 1.0, 9)
+    values = quadopt.integrate_rows(fn, ts, 0.0, 1.0)[0]
+    assert max(sizes) <= 100
+    for t, value in zip(ts, values):
+        assert value == integrate(lambda s: np.cos(40.0 * t * s), 0.0, 1.0).value
+
+
+def test_extremize_evaluates_its_seeds_in_one_call():
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.shape)
+        return -((x - 0.3) ** 2)
+
+    found = extremize(fn, 0.0, 1.0, mode="max")
+    assert sizes[0] == (129,)
+    assert set(sizes[2:]) == {(1,)}  # then one point per golden-section step
+    assert found.samples == sum(size[0] for size in sizes)
+    assert found.location == pytest.approx(0.3, abs=1e-9)
+
+
+@pytest.mark.parametrize("xtol", [1e-14, 6.12745098039495e-05])
+def test_sign_change_roots_of_many_rows(xtol):
+    # after six bisections the bracket around 0.10031 is 5.6e-17 narrower than
+    # the one around 0.90071, and the second xtol lies between them: each row
+    # stops when its own widest bracket is within xtol
+    ts = np.array([0.2, 0.10031, 1.5, 0.90071])
+    fn = lambda t, s: (s - t) * (s - 0.5)
+    roots = sign_change_roots(fn, ts, 0.0, 1.0, xtol=xtol)
+    assert [len(r) for r in roots] == [2, 2, 1, 2]
+    for t, found in zip(ts, roots):
+        assert found == sign_change_roots(fn, [t], 0.0, 1.0, xtol=xtol)[0]
