@@ -17,7 +17,7 @@ whose gap inequalities are validated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -33,6 +33,9 @@ GRID_ESTIMATE = "grid-estimate"
 USER_HINT = "user-hint"
 
 _HINT_RTOL = 1e-9
+
+# each component's own value and own derivative coordinate, in Box4 field order
+_OWN = (("u1", "u2"), ("v1", "v2"))
 
 
 class Verdict(Enum):
@@ -103,47 +106,12 @@ class Box4:
     def intervals(self) -> tuple[tuple[float, float], ...]:
         return (self.u1, self.u2, self.v1, self.v2)
 
-    @staticmethod
-    def _full(rho: float, variant: ConeVariant) -> tuple[float, float]:
-        if variant is ConeVariant.SIGN_CHANGING:
-            return (-rho, rho)
-        return (0.0, rho)
-
     @classmethod
     def sup_box(cls, rho1: float, rho2: float, variant: ConeVariant) -> "Box4":
-        u = cls._full(rho1, variant)
-        v = cls._full(rho2, variant)
+        """The full radius box: [-rho, rho] on the sign-changing cone, else [0, rho]."""
+        signed = variant is ConeVariant.SIGN_CHANGING
+        u, v = ((-rho if signed else 0.0, rho) for rho in (rho1, rho2))
         return cls(u, u, v, v)
-
-    @classmethod
-    def inf_box(
-        cls,
-        which: str,
-        role: str,
-        rho1: float,
-        rho2: float,
-        c: float,
-        d: float,
-        variant: ConeVariant,
-    ) -> "Box4":
-        """Box with one coordinate pinned away from zero.
-
-        plain pins the function value (u1 or v1) to [c*rho, rho]; star pins
-        the derivative value (u2 or v2) to [d*rho, rho].  ``role`` selects
-        which component's coordinates are pinned.
-        """
-        if which not in ("plain", "star"):
-            raise ValueError(f"which must be 'plain' or 'star', got {which!r}")
-        if role not in ("first", "second"):
-            raise ValueError(f"role must be 'first' or 'second', got {role!r}")
-        u = [cls._full(rho1, variant), cls._full(rho1, variant)]
-        v = [cls._full(rho2, variant), cls._full(rho2, variant)]
-        own, rho = (u, rho1) if role == "first" else (v, rho2)
-        if which == "plain":
-            own[0] = (c * rho, rho)
-        else:
-            own[1] = (d * rho, rho)
-        return cls(u[0], u[1], v[0], v[1])
 
 
 class BoundEstimate(NamedTuple):
@@ -206,82 +174,39 @@ _MODES = {
 
 def _bound(
     comp: Component,
-    hint_name: str,
-    role: str,
-    rho1: float,
-    rho2: float,
-    variant: ConeVariant,
+    hint: str,
+    box: tuple[tuple[float, float], ...],
+    rho: float,
+    rhos: tuple[float, float],
     policy: HintPolicy,
     n: int,
-    cone_constants: tuple[float, float] | None = None,
 ) -> BoundEstimate:
-    """Bound f / rho_i over the box that ``hint_name`` names: the grid estimate or the hint.
+    """Bound f / rho over ``box`` = (t window, *intervals): the grid estimate or the hint.
 
-    "sup" is the sup over [0,1] x the full box; "inf-plain" and "inf-star" are
-    the infs over the pinned boxes of Box4.inf_box.  A hint is checked
-    against the grid, which can only refute it.
+    ``hint`` names the BoundHints field, and its prefix the mode (sup or inf).
+    The hint is evaluated at ``rhos`` = (rho1, rho2) and checked against the
+    grid, which can only refute it.
     """
-    if rho1 <= 0 or rho2 <= 0:
-        raise ValueError("radii must be positive")
-    mode, _, which = hint_name.partition("-")
-    if mode == "sup":
-        t_window, box = (0.0, 1.0), Box4.sup_box(rho1, rho2, variant)
-    else:
-        env = comp.envelope
-        c, d = cone_constants if cone_constants is not None else (env.c, env.d)
-        t_window = (env.a, env.b) if which == "plain" else (env.gamma, env.delta)
-        box = Box4.inf_box(which, role, rho1, rho2, c, d, variant)
+    mode = hint.partition("_")[0]
     grid_raw, witness = box_extremum_with_witness(
-        nonlinearity(comp), (t_window, *box.intervals()), mode=mode, n_per_axis=n
+        nonlinearity(comp), box, mode=mode, n_per_axis=n
     )
-    grid = grid_raw / (rho1 if role == "first" else rho2)
-    hint_expr = getattr(comp.hints, hint_name.replace("-", "_"))
+    grid = grid_raw / rho
+    hint_expr = getattr(comp.hints, hint)
+    label = hint.replace("_", "-")
     if policy is HintPolicy.IGNORE or hint_expr is None:
         if policy is HintPolicy.REQUIRE:
-            raise HintMissing(f"hint policy 'require' but no {hint_name} hint supplied")
+            raise HintMissing(f"hint policy 'require' but no {label} hint supplied")
         return BoundEstimate(grid, GRID_ESTIMATE, grid, witness)
-    hint = float(exprlang.evaluate(hint_expr, {"rho1": rho1, "rho2": rho2}))
-    tol = _HINT_RTOL * max(1.0, abs(hint), abs(grid))
+    value = float(exprlang.evaluate(hint_expr, {"rho1": rhos[0], "rho2": rhos[1]}))
+    tol = _HINT_RTOL * max(1.0, abs(value), abs(grid))
     sign, side, reason = _MODES[mode]
-    if sign * hint < sign * grid - tol:
+    if sign * value < sign * grid - tol:
         raise HintInconsistent(
-            f"{hint_name} hint {hint!r} is {side} the grid {mode} estimate {grid!r} "
+            f"{label} hint {value!r} is {side} the grid {mode} estimate {grid!r} "
             f"(grid witness {witness}); {reason}"
         )
-    return BoundEstimate(hint, USER_HINT, grid, witness)
-
-
-def sup_f_rho(
-    comp: Component,
-    rho1: float,
-    rho2: float,
-    variant: ConeVariant,
-    role: str = "first",
-    policy: HintPolicy = HintPolicy.ALLOW,
-    n: int = 17,
-) -> BoundEstimate:
-    """Upper bound for sup f/rho_i over [0,1] x the full radius box."""
-    return _bound(comp, "sup", role, rho1, rho2, variant, policy, n)
-
-
-def inf_f_rho(
-    comp: Component,
-    which: str,
-    role: str,
-    rho1: float,
-    rho2: float,
-    cone_constants: tuple[float, float] | None = None,
-    variant: ConeVariant = ConeVariant.SIGN_CHANGING,
-    policy: HintPolicy = HintPolicy.ALLOW,
-    n: int = 17,
-) -> BoundEstimate:
-    """Lower bound for inf f/rho_i over the pinned box.
-
-    plain restricts t to [a,b] and pins the value coordinate to [c rho, rho];
-    star restricts t to [gamma,delta] and pins the derivative coordinate to
-    [d rho, rho].
-    """
-    return _bound(comp, f"inf-{which}", role, rho1, rho2, variant, policy, n, cone_constants)
+    return BoundEstimate(value, USER_HINT, grid, witness)
 
 
 def _constant_error(result: ConstantResult) -> float:
@@ -337,32 +262,36 @@ def _condition(
 ) -> ConditionOutcome:
     """(I1) or (I0) at one radius pair, for both components.
 
-    (I1): sup f_i / rho_i < min(m_i, m_i*).  (I0): inf f_i / rho_i over the
-    pinned boxes > M_i and M_i*.
+    (I1): sup f_i / rho_i over [0,1] x the full box < min(m_i, m_i*).
+    (I0): inf f_i / rho_i > M_i over [a,b] x the box with the own value in
+    [c rho_i, rho_i], and > M_i* over [gamma,delta] x the box with the own
+    derivative in [d rho_i, rho_i].
     """
+    if rho1 <= 0 or rho2 <= 0:
+        raise ValueError("radii must be positive")
+    rhos = (rho1, rho2)
+    full = Box4.sup_box(rho1, rho2, problem.variant)
     entries = []
-    for i, (comp, consts) in enumerate(zip(problem.components, table.components)):
-        role, j = ("first" if i == 0 else "second"), i + 1
+    for j, comp, consts, rho, (value, slope) in zip(
+        (1, 2), problem.components, table.components, rhos, _OWN
+    ):
+        env = comp.envelope
         if kind == "I1":
             tight = min(consts.m, consts.m_star, key=lambda r: r.constant)
-            est = sup_f_rho(comp, rho1, rho2, problem.variant, role, policy, n)
-            rows = [(f"sup f{j}/rho{j} < min(m{j}, m{j}*)", est, tight, "sup")]
+            rows = [(f"sup f{j}/rho{j} < min(m{j}, m{j}*)", "sup", (0.0, 1.0), full, tight)]
         else:
             rows = [
-                (
-                    f"inf{star} f{j}/rho{j} > M{j}{star}",
-                    inf_f_rho(comp, which, role, rho1, rho2, None, problem.variant, policy, n),
-                    cres,
-                    "inf",
-                )
-                for which, star, cres in (("plain", "", consts.M), ("star", "*", consts.M_star))
+                (f"inf f{j}/rho{j} > M{j}", "inf_plain", (env.a, env.b),
+                 replace(full, **{value: (env.c * rho, rho)}), consts.M),
+                (f"inf* f{j}/rho{j} > M{j}*", "inf_star", (env.gamma, env.delta),
+                 replace(full, **{slope: (env.d * rho, rho)}), consts.M_star),
             ]
-        entries += [
-            _entry(name, est, cres.constant, _constant_error(cres), mode)
-            for name, est, cres, mode in rows
-        ]
+        for name, hint, t_window, box, cres in rows:
+            est = _bound(comp, hint, (t_window, *box.intervals()), rho, rhos, policy, n)
+            mode = hint.partition("_")[0]
+            entries.append(_entry(name, est, cres.constant, _constant_error(cres), mode))
     entries = tuple(entries)
-    return ConditionOutcome(kind, (rho1, rho2), entries, _combine(entries))
+    return ConditionOutcome(kind, rhos, entries, _combine(entries))
 
 
 check_I1 = partial(_condition, "I1")
@@ -503,15 +432,14 @@ def check_nonexistence(
         raise ValueError("n must be at least 2")
     records = []
     supported = True
-    for i, (comp, consts) in enumerate(zip(problem.components, table.components)):
+    for i, (comp, consts, (sub, _)) in enumerate(zip(problem.components, table.components, _OWN)):
         f_fn = nonlinearity(comp)
-        pin_axis = 0 if i == 0 else 2
+        pin_axis = sum(_OWN, ()).index(sub)
         env = comp.envelope
         m = consts.m.constant
         big = consts.M.constant / env.c
         eps_a = _epsilon(_constant_error(consts.m), m)
         eps_b = _epsilon(_constant_error(consts.M) / env.c, big)
-        sub = "u1" if i == 0 else "v1"
         alt_a = _alternative(
             f"N{i + 1}a: f{i + 1} < m{i + 1}|{sub}|",
             f_fn, m, pin_axis, (0.0, 1.0), sample_box, n, False, eps_a,

@@ -22,7 +22,7 @@ from .model import (
     ENVELOPE_VARS, AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s,
 )
 # integrate too: perfbench/tracing.py patches it by name in each module that integrates
-from .quadopt import MAX_AXIS_POINTS, integrate, integrate_rows  # noqa: F401
+from .quadopt import BLOCK_VALUES, MAX_AXIS_POINTS, integrate, integrate_rows  # noqa: F401
 
 
 class ParamError(ValueError):
@@ -250,7 +250,11 @@ def verify_bvp(
 
     def w_rows(kernel, rows: np.ndarray) -> np.ndarray:  # w with k, w' with dk/dt, at each t
         integrand = lambda t, s: kernel(t, s) * h_at(s)
-        return integrate_rows(integrand, rows, 0.0, 1.0, kern.breakpoints(rows))[0]
+        step = BLOCK_VALUES // 16  # rows of a few 15-node panels each: memory stays near a block
+        return np.concatenate([
+            integrate_rows(integrand, part, 0.0, 1.0, kern.breakpoints(part))[0]
+            for part in np.split(rows, range(step, len(rows), step))
+        ])
 
     w = w_rows(kern.k, ts)
 

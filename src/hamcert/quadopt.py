@@ -418,8 +418,8 @@ def sign_change_roots(
 
     ``fn`` is called as in integrate_rows, first on a (rows, ``n_scan``) grid
     of uniform points.  Each sign change is refined by bisection, all rows at
-    once, until the row's widest bracket is at most ``xtol``.  Roots the scan
-    steps over are not found.
+    once, until the row's widest bracket is at most ``xtol`` or a bracket's
+    midpoint is one of its ends.  Roots the scan steps over are not found.
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.linspace(lo, hi, n_scan)
@@ -430,10 +430,11 @@ def sign_change_roots(
     while a.size:
         widest = np.zeros(len(ts))
         np.maximum.at(widest, row, b - a)
-        live = widest[row] > xtol
+        m = 0.5 * (a + b)
+        live = (widest[row] > xtol) & (m != a) & (m != b)  # else no float lies between
         if not live.any():
             break
-        m = 0.5 * (a[live] + b[live])
+        m = m[live]
         fm = _evaluate(fn, ts[row[live], None], m[:, None])[:, 0]
         left = fa[live] * fm <= 0.0
         a[live], b[live] = np.where(left, a[live], m), np.where(left, m, b[live])

@@ -25,8 +25,6 @@ from hamcert.conditions import (
     check_I0,
     check_I1,
     check_nonexistence,
-    inf_f_rho,
-    sup_f_rho,
     _entry,
 )
 from hamcert.model import HINT_VARS, NONLIN_VARS, BoundHints, ConeVariant
@@ -59,60 +57,60 @@ def test_sup_box_symmetric_vs_one_sided():
     assert pos.intervals() == ((0.0, 10.0),) * 4
 
 
-def test_inf_box_pins_the_right_coordinate():
-    b = Box4.inf_box("plain", "first", 2.0, 3.0, 0.75, 0.5, ConeVariant.SIGN_CHANGING)
-    assert b.u1 == (1.5, 2.0)  # pinned to [c rho1, rho1]
-    assert b.u2 == (-2.0, 2.0) and b.v1 == (-3.0, 3.0)
-
-    b = Box4.inf_box("star", "first", 2.0, 3.0, 0.75, 0.5, ConeVariant.SIGN_CHANGING)
-    assert b.u2 == (1.0, 2.0)  # pinned to [d rho1, rho1]
-    assert b.u1 == (-2.0, 2.0)
-
-    b = Box4.inf_box(
-        "plain", "second", 2.0, 3.0, 0.75, 0.5, ConeVariant.NON_NEGATIVE_NON_DECREASING
+@pytest.mark.parametrize("coord", ["u1", "u2", "v1", "v2"])
+def test_index_zero_boxes_pin_the_own_coordinates(sign_changing, sign_table, coord):
+    # with f equal to one coordinate on the one-sided cone, only the entry
+    # whose box pins that coordinate to [c rho, rho] (value) or [d rho, rho]
+    # (derivative) has a nonzero inf; its t axis starts at the entry's window
+    comps = [_with_f(c, coord) for c in sign_changing.problem.components]
+    problem = dataclasses.replace(
+        sign_changing.problem, comp1=comps[0], comp2=comps[1], variant=ConeVariant.NON_NEGATIVE
     )
-    assert b.v1 == (2.25, 3.0)
-    assert b.u1 == (0.0, 2.0) and b.v2 == (0.0, 3.0)
+    out = check_I0(problem, 2.0, 3.0, sign_table, HintPolicy.IGNORE)
+    pinned = ["u1", "u2", "v1", "v2"].index(coord)
+    for k, e in enumerate(out.inequalities):  # plain, star of component 1, then of 2
+        env, star = comps[k // 2].envelope, k % 2 == 1
+        expected = (env.d if star else env.c) if k == pinned else 0.0
+        assert e.bound_source == GRID_ESTIMATE
+        assert e.grid_value == pytest.approx(expected, rel=1e-12), e.name
+        assert e.witness[0] == (env.gamma if star else env.a)
 
 
 # ------------------------------------------------------- sup / inf bounds
 
 
-def test_sup_bound_prefers_hint_and_cross_checks(sign_changing):
-    comp = sign_changing.problem.comp1
-    est = sup_f_rho(comp, 0.03, 0.3, ConeVariant.SIGN_CHANGING)
+def test_sup_bound_prefers_hint_and_cross_checks(sign_changing, sign_table):
+    est = check_I1(sign_changing.problem, 0.03, 0.3, sign_table).inequalities[0]
     assert est.bound_source == USER_HINT
-    assert est.value == pytest.approx(6 * 0.03, rel=1e-12)
-    assert est.grid_value <= est.value + 1e-12
+    assert est.lhs == pytest.approx(6 * 0.03, rel=1e-12)
+    assert est.grid_value <= est.lhs + 1e-12
     # grid attains the corner value exactly for this polynomial nonlinearity
     assert est.grid_value == pytest.approx(6 * 0.03, rel=1e-9)
 
 
-def test_sup_bound_grid_only(sign_changing):
-    comp = sign_changing.problem.comp1
-    est = sup_f_rho(comp, 0.03, 0.3, ConeVariant.SIGN_CHANGING, policy=HintPolicy.IGNORE)
+def test_sup_bound_grid_only(sign_changing, sign_table):
+    out = check_I1(sign_changing.problem, 0.03, 0.3, sign_table, HintPolicy.IGNORE)
+    est = out.inequalities[0]
     assert est.bound_source == GRID_ESTIMATE
-    assert est.value == pytest.approx(0.18, rel=1e-9)
+    assert est.lhs == pytest.approx(0.18, rel=1e-9)
     assert len(est.witness) == 5
 
 
-def test_zero_nonlinearity_bounds(sign_changing):
+def test_zero_nonlinearity_bounds(sign_changing, sign_table):
     comp = _with_f(sign_changing.problem.comp1, "0", sup="0")
-    est = sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING)
-    assert est.value == 0.0 and est.bound_source == USER_HINT
-    est = inf_f_rho(comp, "plain", "first", 1.0, 1.0, (0.75, 7 / 18))
-    assert est.value == 0.0 and est.bound_source == GRID_ESTIMATE
+    problem = dataclasses.replace(sign_changing.problem, comp1=comp)
+    est = check_I1(problem, 1.0, 1.0, sign_table).inequalities[0]
+    assert est.lhs == 0.0 and est.bound_source == USER_HINT
+    est = check_I0(problem, 1.0, 1.0, sign_table).inequalities[0]
+    assert est.lhs == 0.0 and est.bound_source == GRID_ESTIMATE
 
 
-def test_inf_bounds_match_hand_derivation(sign_changing):
-    comp = sign_changing.problem.comp1
-    est = inf_f_rho(comp, "plain", "first", 0.03, 0.3, (3 / 4, 7 / 18))
-    assert est.bound_source == USER_HINT
-    assert est.value == pytest.approx(9 / 16 * 0.03, rel=1e-12)
-    assert est.grid_value >= est.value - 1e-12
-
-    est = inf_f_rho(comp, "star", "first", 0.03, 0.3, (3 / 4, 7 / 18))
-    assert est.value == pytest.approx(49 / 324 * 0.03, rel=1e-12)
+def test_inf_bounds_match_hand_derivation(sign_changing, sign_table):
+    plain, star = check_I0(sign_changing.problem, 0.03, 0.3, sign_table).inequalities[:2]
+    assert plain.bound_source == USER_HINT
+    assert plain.lhs == pytest.approx(9 / 16 * 0.03, rel=1e-12)
+    assert plain.grid_value >= plain.lhs - 1e-12
+    assert star.lhs == pytest.approx(49 / 324 * 0.03, rel=1e-12)
 
 
 def test_hint_above_grid_inf_is_rejected(third_order, third_table):
@@ -123,21 +121,25 @@ def test_hint_above_grid_inf_is_rejected(third_order, third_table):
         check_I0(third_order.problem, 400000.0, 20000.0, third_table)
 
 
-def test_sup_hint_below_grid_is_rejected(sign_changing):
+def test_sup_hint_below_grid_is_rejected(sign_changing, sign_table):
     comp = _with_f(
         sign_changing.problem.comp1,
         "(u1^2 + u2^2)*(2 + cos(v1*v2))",
         sup="rho1/100",  # far below the attainable corner value 6 rho1
     )
+    problem = dataclasses.replace(sign_changing.problem, comp1=comp)
     with pytest.raises(HintInconsistent, match="grid sup estimate"):
-        sup_f_rho(comp, 0.03, 0.3, ConeVariant.SIGN_CHANGING)
+        check_I1(problem, 0.03, 0.3, sign_table)
 
 
-def test_missing_hint_policies(sign_changing):
+def test_missing_hint_policies(sign_changing, sign_table):
     comp = dataclasses.replace(sign_changing.problem.comp1, hints=BoundHints())
-    with pytest.raises(HintMissing):
-        sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING, policy=HintPolicy.REQUIRE)
-    est = sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING, policy=HintPolicy.ALLOW)
+    problem = dataclasses.replace(sign_changing.problem, comp1=comp)
+    with pytest.raises(HintMissing, match="no sup hint supplied"):
+        check_I1(problem, 1.0, 1.0, sign_table, HintPolicy.REQUIRE)
+    with pytest.raises(HintMissing, match="no inf-plain hint supplied"):
+        check_I0(problem, 1.0, 1.0, sign_table, HintPolicy.REQUIRE)
+    est = check_I1(problem, 1.0, 1.0, sign_table, HintPolicy.ALLOW).inequalities[0]
     assert est.bound_source == GRID_ESTIMATE
 
 
@@ -176,16 +178,19 @@ def test_verdict_boundaries_sit_at_rhs_plus_minus_eps(mode):
 
 
 @pytest.mark.parametrize("mode", ["sup", "inf"])
-def test_hint_one_tolerance_beyond_the_grid_is_the_last_accepted(sign_changing, mode):
+def test_hint_one_tolerance_beyond_the_grid_is_the_last_accepted(
+    sign_changing, sign_table, mode
+):
     base = dataclasses.replace(sign_changing.problem.comp1, f=_f("0.5"))
+    check = check_I1 if mode == "sup" else check_I0
 
     def bound(hint_text):
         hint = _hint(hint_text) if hint_text else None
         hints = BoundHints(sup=hint) if mode == "sup" else BoundHints(inf_plain=hint)
-        comp = dataclasses.replace(base, hints=hints)
-        if mode == "sup":
-            return sup_f_rho(comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING)
-        return inf_f_rho(comp, "plain", "first", 1.0, 1.0)
+        problem = dataclasses.replace(
+            sign_changing.problem, comp1=dataclasses.replace(base, hints=hints)
+        )
+        return check(problem, 1.0, 1.0, sign_table).inequalities[0]
 
     grid_only = bound(None)
     grid, witness = grid_only.grid_value, grid_only.witness
@@ -193,7 +198,7 @@ def test_hint_one_tolerance_beyond_the_grid_is_the_last_accepted(sign_changing, 
     tol = 1e-9  # relative hint tolerance times max(1, |hint|, |grid|)
     edge = grid - tol if mode == "sup" else grid + tol
     accepted = bound(repr(edge))
-    assert (accepted.value, accepted.bound_source) == (edge, USER_HINT)
+    assert (accepted.lhs, accepted.bound_source) == (edge, USER_HINT)
     bad = float(np.nextafter(edge, -np.inf if mode == "sup" else np.inf))
     with pytest.raises(HintInconsistent) as exc:
         bound(repr(bad))
@@ -389,15 +394,14 @@ def test_nonexistence_refuted_for_bundled_nonlinearity(sign_changing, sign_table
 
 @settings(max_examples=20, deadline=None)
 @given(rho=st.floats(min_value=1e-3, max_value=1e3))
-def test_degree_one_homogeneous_sup_is_radius_free(sign_changing, rho):
+def test_degree_one_homogeneous_sup_is_radius_free(sign_changing, sign_table, rho):
     comp = _with_f(sign_changing.problem.comp1, "sqrt(u1^2 + u2^2)")
-    base = sup_f_rho(
-        comp, 1.0, 1.0, ConeVariant.SIGN_CHANGING, policy=HintPolicy.IGNORE, n=7
-    )
-    scaled = sup_f_rho(
-        comp, rho, rho, ConeVariant.SIGN_CHANGING, policy=HintPolicy.IGNORE, n=7
-    )
-    assert scaled.value == pytest.approx(base.value, rel=1e-12, abs=1e-12)
+    problem = dataclasses.replace(sign_changing.problem, comp1=comp)
+
+    def sup(r):
+        return check_I1(problem, r, r, sign_table, HintPolicy.IGNORE, n=7).inequalities[0]
+
+    assert sup(rho).lhs == pytest.approx(sup(1.0).lhs, rel=1e-12, abs=1e-12)
 
 
 def test_index_one_verdict_antitone_in_radius(sign_changing, sign_table):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,6 +267,22 @@ def test_bvp_evaluates_its_kernel_a_few_times(monkeypatch):
     assert rep.ode_residual < 1e-4
     assert 0 < len(calls) <= 10
     assert max(calls) <= quadopt.BLOCK_VALUES
+
+
+def test_bvp_memory_is_bounded_by_the_block(monkeypatch):
+    # 40001 rows take about 11.6 MB when integrated in one batch; in row
+    # blocks the peak stays near one block, and the report does not change
+    params, h = GreenParams(1.5, 0.5), _h("s")
+    verify_bvp(params, h, n_grid=101)  # first-call imports
+    tracemalloc.start()
+    try:
+        rep = verify_bvp(params, h, n_grid=40001, ode_tol=np.inf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    monkeypatch.setattr(greens3, "BLOCK_VALUES", 1 << 30)  # every row in one batch
+    assert verify_bvp(params, h, n_grid=40001, ode_tol=np.inf) == rep
 
 
 def test_bvp_matches_one_row_integrals():

@@ -111,6 +111,22 @@ def test_sign_change_roots_none():
     assert sign_change_roots(lambda t, s: 1.0 + s, [0.0], 0.0, 1.0) == [()]
 
 
+def test_sign_change_roots_stop_below_the_float_spacing():
+    # no bracket gets narrower than one ulp, so an xtol below that must not
+    # keep the bisection going; raising bounds the test if it would
+    calls = []
+
+    def fn(t, s):
+        calls.append(1)
+        if len(calls) > 300:
+            raise AssertionError("still bisecting after 300 calls")
+        return s - 0.3
+
+    (roots,) = sign_change_roots(fn, [0.0], 0.0, 1.0, xtol=1e-17)
+    assert len(roots) == 1
+    assert abs(roots[0] - 0.3) <= math.ulp(0.3)
+
+
 def test_integrand_that_ignores_its_argument_is_called_once_per_pass():
     calls = []
 
