@@ -199,45 +199,27 @@ def integrate_rows(
 
     row, t_arr, lo_arr, hi_arr, counts = _first_panels(ts, lo, hi, breakpoints)
     vals, errs = _panels_eval(fn, t_arr, lo_arr, hi_arr)
-    panel = failure = None
-    ids = np.arange(len(ts))  # the rows still refining, in t order
-    finished = []  # (ids, values, error bounds, panel counts) of rows as they finish
+    panel = None
+    live = np.ones(len(ts), dtype=bool)  # the rows still refining; a finished row keeps its panels
     while True:
         uniform = len(counts) == 1 or counts.min() == counts.max()
         total_err = _row_sums(errs, counts, uniform)
         if total_err.max() <= tol:  # every row is done (NaN is never below tol)
-            finished.append((ids, _row_sums(vals, counts, uniform), total_err, counts))
-            break
-        done = total_err <= tol
+            return _row_sums(vals, counts, uniform), total_err, counts
+        live &= ~(total_err <= tol)
         select = errs > 0.45 * tol * (hi_arr - lo_arr) / (hi - lo)
         n_sel = np.bincount(row[select], minlength=len(counts))
         if not n_sel.all():  # such a row splits its panels of largest error
             top = np.maximum.reduceat(errs, np.cumsum(counts) - counts)
             select |= (n_sel == 0)[row] & (errs == top[row])
             n_sel = np.bincount(row[select], minlength=len(counts))
-        finite = np.isfinite(total_err)  # not so if a panel's value is not finite
-        go = ~done & finite & (counts + n_sel <= max_panels)
-        if go.all():
-            split, stay, counts = select, ~select, counts + n_sel
-        else:  # some rows are done or fail
-            values = _row_sums(vals, counts, uniform)
-            if not (go | done).all():
-                first = int(np.argmin(go | done))  # ids ascend: the first failing t
-                failure = QuadratureFailure(
-                    f"subdivision cap {max_panels} reached "
-                    f"(error {total_err[first]:.3e} > tol {tol:.3e})"
-                    if finite[first] else "non-finite panel value or error estimate",
-                    float(values[first]),
-                    float(total_err[first]),
-                    int(counts[first]),
-                )
-                go[first:] = False  # a later row's result no longer matters
-            finished.append((ids[done], values[done], total_err[done], counts[done]))
-            if not go.any():
-                break
-            split, stay, counts = select & go[row], ~select & go[row], (counts + n_sel)[go]
-            row = (np.cumsum(go) - 1)[row]
-            ids = ids[go]
+        # a stuck row (a panel not finite, or the cap reached) and all later rows stop
+        stuck = live & ~(np.isfinite(total_err) & (counts + n_sel <= max_panels))
+        live &= ~np.logical_or.accumulate(stuck)
+        if not live.any():
+            break
+        split = select & live[row]
+        counts = counts + n_sel * live
         if panel is None:  # one column per panel: t, lo, hi, value, error
             panel = np.array([t_arr, lo_arr, hi_arr, vals, errs])
         left = panel.compress(split, axis=1)
@@ -246,20 +228,20 @@ def integrate_rows(
         sub = np.concatenate([left, right], axis=1)
         sub[3], sub[4] = _panels_eval(fn, sub[0], sub[1], sub[2])
         # each row's panels in the one-row order: kept, then left halves, then right halves
-        panel = np.concatenate([panel.compress(stay, axis=1), sub], axis=1)
-        if len(ids) == 1:
-            row = np.zeros(panel.shape[1], dtype=int)
-        else:
-            row = np.concatenate([row[stay], row[split], row[split]])
-            order = np.argsort(row, kind="stable")
-            panel, row = panel[:, order], row[order]
+        panel = np.concatenate([panel.compress(~split, axis=1), sub], axis=1)
+        row = np.concatenate([row[~split], row[split], row[split]])
+        order = np.argsort(row, kind="stable")
+        panel, row = panel[:, order], row[order]
         t_arr, lo_arr, hi_arr, vals, errs = panel
-    if failure is not None:
-        raise failure
-    if len(finished) == 1:  # every row finished in the same round
-        return finished[0][1:]
-    order = np.argsort(np.concatenate([f[0] for f in finished]))
-    return tuple(np.concatenate(part)[order] for part in list(zip(*finished))[1:])
+    # every row before the first failing one refined until it was done
+    first = int(np.argmin(total_err <= tol))
+    raise QuadratureFailure(
+        f"subdivision cap {max_panels} reached (error {total_err[first]:.3e} > tol {tol:.3e})"
+        if np.isfinite(total_err[first]) else "non-finite panel value or error estimate",
+        float(_row_sums(vals, counts, uniform)[first]),
+        float(total_err[first]),
+        int(counts[first]),
+    )
 
 
 def integrate(

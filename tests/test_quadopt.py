@@ -409,6 +409,23 @@ def test_the_first_failing_row_wins_even_if_a_later_row_fails_sooner():
     assert rows[0].startswith("subdivision cap 64 reached")
 
 
+def test_later_rows_stop_once_a_row_fails():
+    # t = 0.9 is not finite in the first round: it and t = 0.95 are never
+    # evaluated again, while t = 0.2 refines until it reaches the cap
+    called = []
+
+    def fn(t, s):
+        called.append(np.unique(t))
+        return np.where(t == 0.9, np.inf, t / s)
+
+    with np.errstate(invalid="ignore"):
+        rows = _outcome(lambda: quadopt.integrate_rows(fn, [0.2, 0.9, 0.95], 0.0, 1.0,
+                                                        max_panels=64))
+        expected = _one_row(lambda t, s: t / s, 0.2, (), max_panels=64)
+    assert len(called) > 1 and all(c.max() < 0.9 for c in called[1:])
+    assert rows[0].startswith("subdivision cap 64 reached") and rows == expected
+
+
 def test_rows_are_evaluated_in_blocks(monkeypatch):
     monkeypatch.setattr(quadopt, "BLOCK_VALUES", 100)
     sizes = []

@@ -1,0 +1,72 @@
+"""Check that the CLI gives byte-identical results at a git revision and in this checkout.
+
+    python tools/same_bytes.py REF
+
+Unpacks ``git archive REF`` into a temporary directory (``.git`` is only
+read), then runs ``python -m hamcert.cli CMD FILE --no-meta --out F`` in both
+trees, each from its own root with its own ``src`` on PYTHONPATH.
+The runs are the six commands on both bundled problems, plus
+``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``.
+Exit code, stdout, stderr and the JSON report must match byte for byte.
+Prints each run that differs; exits 1 if any does, else 0.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PROBLEMS = ("sign_changing.prob", "third_order.prob")
+RUNS = [
+    [cmd] for cmd in ("assumptions", "constants", "certify", "nonexistence", "solve", "green-check")
+] + [
+    ["certify", "--hints", "ignore"],
+    ["certify", "--grid", "33"],
+    ["solve", "--grid", "201"],
+]
+
+
+def run(tree: Path, report: Path, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr, report bytes) of one CLI run in ``tree``."""
+    report.unlink(missing_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "hamcert.cli", *argv, "--no-meta",
+                           "--out", str(report)], cwd=tree, env=env, capture_output=True)
+    return done.returncode, done.stdout, done.stderr, report.read_bytes() if report.exists() else None
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tools/same_bytes.py REF", file=sys.stderr)
+        return 1
+    archive = subprocess.run(["git", "archive", argv[0]], cwd=ROOT, capture_output=True)
+    if archive.returncode:
+        sys.stderr.write(archive.stderr.decode())
+        return 1
+    with tempfile.TemporaryDirectory() as tmp:
+        ref = Path(tmp) / "ref"
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(ref)
+        report = Path(tmp) / "report.json"
+        differ = 0
+        for prob in PROBLEMS:
+            for extra in RUNS:
+                argv_run = [extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
+                a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
+                parts = [p for p, x, y in zip(("exit", "stdout", "stderr", "json"), a, b) if x != y]
+                if parts:
+                    differ += 1
+                    print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv_run)}")
+        print(f"{differ} of {len(PROBLEMS) * len(RUNS)} runs differ from {argv[0]}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
