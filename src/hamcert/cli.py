@@ -19,12 +19,13 @@ import re
 import sys
 import time
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 from . import __version__, exprlang, greens3
 from .conditions import (
     _SCENARIOS,
-    Box4,
+    RUNGS,
     Certificate,
     HintPolicy,
     Scenario,
@@ -32,6 +33,7 @@ from .conditions import (
     certify,
     check_nonexistence,
     ladder_annuli,
+    sup_box,
 )
 from .constants import compute_table
 from .exprlang import ExprError
@@ -74,18 +76,7 @@ _GREEN_RE = re.compile(r"green\((.*)\)\s*$")
 
 _ENVELOPE_KEYS = ("phi", "psi", "a", "b", "c", "gamma", "delta", "d")
 _HINT_KEYS = ("sup_hint", "inf_plain_hint", "inf_star_hint")
-_SECTION_KEYS = {
-    "component.1": {"kernel", "kernel_dt", "weight", "f", *_ENVELOPE_KEYS, *_HINT_KEYS},
-    "component.2": {"kernel", "kernel_dt", "weight", "f", *_ENVELOPE_KEYS, *_HINT_KEYS},
-    "cone": {"variant"},
-    "check": {
-        "scenario", "rho", "r", "s", "sigma",
-        "resolution", "nonexistence_box", "nonexistence_resolution",
-    },
-    "solver": {"n", "theta", "tol", "max_iter", "init", "scale"},
-}
-
-_VARIANTS = {v.value: v for v in ConeVariant}
+_COMPONENT_KEYS = {"kernel", "kernel_dt", "weight", "f", *_ENVELOPE_KEYS, *_HINT_KEYS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -187,11 +178,11 @@ def _pair(entry: _Entry, path: str, what: str) -> tuple[float, float]:
 
 @dataclasses.dataclass(frozen=True)
 class CheckConfig:
-    scenario: Scenario | None
-    ladder: tuple[tuple[float, float], ...]
-    resolution: int
-    nonexistence_box: tuple[float, float]
-    nonexistence_resolution: int
+    scenario: Scenario | None = None
+    ladder: tuple[tuple[float, float], ...] = ()
+    resolution: int = 17
+    nonexistence_box: tuple[float, float] = (10.0, 10.0)
+    nonexistence_resolution: int = 41
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,83 +280,86 @@ def _positive_int(entry: _Entry, path: str, minimum: int = 1) -> int:
     return int(val)
 
 
+def _bounded(entry: _Entry, path: str, ok, message: str) -> float:
+    """A constant for which ``ok`` holds; ``message`` formats the value it rejects."""
+    val = _const(entry, path)
+    if not ok(val):
+        raise ProblemFileError(message.format(val), path, entry.line, entry.col)
+    return val
+
+
+def _choice(options: dict, message: str):
+    """A parser mapping an entry's value through ``options``; ``message`` formats a miss."""
+    def parse(entry: _Entry, path: str):
+        if entry.value not in options:
+            raise ProblemFileError(message.format(entry.value), path, entry.line, entry.col)
+        return options[entry.value]
+    return parse
+
+
+# each section's keys and the parser (entry, path) -> value of each, in reading order;
+# a component's keys are read by _build_component
+_SECTION_KEYS = {
+    "component.1": _COMPONENT_KEYS,
+    "component.2": _COMPONENT_KEYS,
+    "cone": {
+        "variant": _choice(
+            {v.value: v for v in ConeVariant},
+            "unknown variant {!r}; one of " + str(sorted(v.value for v in ConeVariant)),
+        ),
+    },
+    "check": {
+        "scenario": _choice({s.value: s for s in Scenario}, "unknown scenario {!r}"),
+        **dict.fromkeys(RUNGS, partial(_pair, what="radii")),
+        "nonexistence_box": partial(_pair, what="box bounds"),
+        "resolution": partial(_positive_int, minimum=2),
+        "nonexistence_resolution": partial(_positive_int, minimum=2),
+    },
+    "solver": {
+        "n": partial(_positive_int, minimum=101),
+        # picard's own range checks, here located at the entry
+        "theta": partial(_bounded, ok=lambda v: 0.0 < v <= 1.0,
+                         message="theta must be in (0, 1], got {}"),
+        "tol": partial(_bounded, ok=lambda v: v > 0.0, message="tol must be positive"),
+        "max_iter": _positive_int,
+        "init": _choice({"zero": "zero", "bump": "bump"},
+                        "init must be 'zero' or 'bump', got {!r}"),
+        "scale": _const,
+    },
+}
+
+
+def _values(sections: dict[str, _Section], name: str, path: str) -> dict:
+    """Section [name]'s parsed values by key, read in _SECTION_KEYS order."""
+    sec = sections.get(name, {})
+    return {key: parse(sec[key], path) for key, parse in _SECTION_KEYS[name].items() if key in sec}
+
+
 def load_problem(path: str) -> LoadedProblem:
-    text = Path(path).read_text()
-    sections = _parse_sections(text, path)
-
-    variant = ConeVariant.SIGN_CHANGING
-    cone = sections.get("cone", {})
-    if "variant" in cone:
-        entry = cone["variant"]
-        if entry.value not in _VARIANTS:
-            raise ProblemFileError(
-                f"unknown variant {entry.value!r}; one of {sorted(_VARIANTS)}",
-                path, entry.line, entry.col,
-            )
-        variant = _VARIANTS[entry.value]
-
+    sections = _parse_sections(Path(path).read_text(), path)
+    variant = _values(sections, "cone", path).get("variant", ConeVariant.SIGN_CHANGING)
     comp1 = _build_component(sections["component.1"], "component.1", path)
     comp2 = _build_component(sections["component.2"], "component.2", path)
-    problem = SystemProblem(comp1, comp2, variant)
 
     check_sec = sections.get("check", {})
-    scenario: Scenario | None = None
-    if "scenario" in check_sec:
-        entry = check_sec["scenario"]
-        try:
-            scenario = Scenario(entry.value)
-        except ValueError:
-            raise ProblemFileError(
-                f"unknown scenario {entry.value!r}", path, entry.line, entry.col
-            ) from None
-    ladder = [
-        _pair(check_sec[rung], path, "radii") for rung in ("rho", "r", "s", "sigma")
-        if rung in check_sec
-    ]
-    if scenario is not None and scenario is not Scenario.NONEXISTENCE:
-        need = len(_SCENARIOS[scenario][0])
-        if len(ladder) != need:
-            raise ProblemFileError(
-                f"scenario {scenario.value} needs {need} radius pairs (rho, r, ...), "
-                f"got {len(ladder)}",
-                path, check_sec["scenario"].line,
-            )
-    box = (10.0, 10.0)
-    if "nonexistence_box" in check_sec:
-        box = _pair(check_sec["nonexistence_box"], path, "box bounds")
-    check = CheckConfig(
-        scenario=scenario,
-        ladder=tuple(ladder),
-        resolution=_positive_int(check_sec["resolution"], path, 2)
-        if "resolution" in check_sec else 17,
-        nonexistence_box=box,
-        nonexistence_resolution=_positive_int(check_sec["nonexistence_resolution"], path, 2)
-        if "nonexistence_resolution" in check_sec else 41,
+    check = _values(sections, "check", path)
+    for rung, before in zip(RUNGS[1:], RUNGS):
+        if rung in check and before not in check:
+            entry = check_sec[rung]
+            raise ProblemFileError(f"{rung} needs {before} before it", path, entry.line, entry.col)
+    ladder = tuple(check.pop(rung) for rung in RUNGS if rung in check)
+    scenario = check.get("scenario")
+    if scenario in _SCENARIOS and len(ladder) != len(_SCENARIOS[scenario][0]):
+        raise ProblemFileError(
+            f"scenario {scenario.value} needs {len(_SCENARIOS[scenario][0])} radius pairs "
+            f"(rho, r, ...), got {len(ladder)}",
+            path, check_sec["scenario"].line,
+        )
+    return LoadedProblem(
+        SystemProblem(comp1, comp2, variant),
+        CheckConfig(ladder=ladder, **check),
+        SolverConfig(**_values(sections, "solver", path)),
     )
-
-    solver_sec = sections.get("solver", {})
-    kwargs = {}
-    if "n" in solver_sec:
-        kwargs["n"] = _positive_int(solver_sec["n"], path, 101)
-    if "theta" in solver_sec:
-        kwargs["theta"] = _const(solver_sec["theta"], path)
-    if "tol" in solver_sec:
-        kwargs["tol"] = _const(solver_sec["tol"], path)
-    if "max_iter" in solver_sec:
-        kwargs["max_iter"] = _positive_int(solver_sec["max_iter"], path)
-    if "init" in solver_sec:
-        entry = solver_sec["init"]
-        if entry.value not in ("zero", "bump"):
-            raise ProblemFileError(
-                f"init must be 'zero' or 'bump', got {entry.value!r}",
-                path, entry.line, entry.col,
-            )
-        kwargs["init"] = entry.value
-    if "scale" in solver_sec:
-        kwargs["scale"] = _const(solver_sec["scale"], path)
-    solver = SolverConfig(**kwargs)
-
-    return LoadedProblem(problem, check, solver)
 
 
 # ---------------------------------------------------------------- reports
@@ -438,9 +432,8 @@ def _cmd_assumptions(loaded: LoadedProblem, args) -> tuple[int, dict]:
         if comp.kernel.green is None:
             own.append(check_kernel_derivative(comp.kernel))
         if problem.variant is not ConeVariant.SIGN_CHANGING:
-            b1, b2 = loaded.check.nonexistence_box
-            box = Box4.sup_box(b1, b2, problem.variant)
-            own.append(verify_nonneg_f(comp, box.intervals()))
+            box = sup_box(*loaded.check.nonexistence_box, problem.variant)
+            own.append(verify_nonneg_f(comp, box))
         reports += [dataclasses.replace(r, name=f"component {i + 1}: {r.name}") for r in own]
     _print_reports(reports)
     passed = all(r.passed for r in reports)
@@ -480,8 +473,7 @@ def _cmd_certify(loaded: LoadedProblem, args) -> tuple[int, dict]:
 def _cmd_nonexistence(loaded: LoadedProblem, args) -> tuple[int, dict]:
     problem = loaded.problem
     table = compute_table(problem)
-    b1, b2 = loaded.check.nonexistence_box
-    box = Box4.sup_box(b1, b2, problem.variant)
+    box = sup_box(*loaded.check.nonexistence_box, problem.variant)
     n = args.grid if args.grid is not None else loaded.check.nonexistence_resolution
     cert = check_nonexistence(problem, table, box, n)
     _print_certificate(cert)
@@ -659,10 +651,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         loaded = load_problem(args.file)
         code, doc = _COMMANDS[args.command](loaded, args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, RuntimeError, ExprError, QuadratureFailure) as exc:
+    except (OSError, ValueError, ArithmeticError, RuntimeError, ExprError,
+            QuadratureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     doc["problem"] = args.file

@@ -17,7 +17,7 @@ whose gap inequalities are validated exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import exprlang
 from .constants import ConstantResult, ConstantsTable
-from .model import Component, ConeVariant, SystemProblem, nonlinearity
+from .model import NONLIN_VARS, Component, ConeVariant, SystemProblem, nonlinearity
 from .quadopt import box_axes, box_extremum_with_witness, grid_extremum
 
 GRID_ESTIMATE = "grid-estimate"
@@ -34,8 +34,11 @@ USER_HINT = "user-hint"
 
 _HINT_RTOL = 1e-9
 
-# each component's own value and own derivative coordinate, in Box4 field order
-_OWN = (("u1", "u2"), ("v1", "v2"))
+# each component's own value and own derivative axis in a sup_box
+_OWN = ((0, 1), (2, 3))
+
+# the names of a radius ladder's rungs, in order
+RUNGS = ("rho", "r", "s", "sigma")
 
 
 class Verdict(Enum):
@@ -88,30 +91,11 @@ class LadderViolation(ValueError):
     """A scenario gap inequality fails; the message names it."""
 
 
-@dataclass(frozen=True, slots=True)
-class Box4:
-    """Closed intervals for the nonlinearity arguments (u1, u2, v1, v2)."""
-
-    u1: tuple[float, float]
-    u2: tuple[float, float]
-    v1: tuple[float, float]
-    v2: tuple[float, float]
-
-    def __post_init__(self):
-        for name in ("u1", "u2", "v1", "v2"):
-            lo, hi = getattr(self, name)
-            if not lo <= hi:
-                raise ValueError(f"empty interval for {name}: [{lo}, {hi}]")
-
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        return (self.u1, self.u2, self.v1, self.v2)
-
-    @classmethod
-    def sup_box(cls, rho1: float, rho2: float, variant: ConeVariant) -> "Box4":
-        """The full radius box: [-rho, rho] on the sign-changing cone, else [0, rho]."""
-        signed = variant is ConeVariant.SIGN_CHANGING
-        u, v = ((-rho if signed else 0.0, rho) for rho in (rho1, rho2))
-        return cls(u, u, v, v)
+def sup_box(rho1: float, rho2: float, variant: ConeVariant) -> tuple[tuple[float, float], ...]:
+    """The full radius box over (u1, u2, v1, v2): [-rho, rho] if sign-changing, else [0, rho]."""
+    signed = variant is ConeVariant.SIGN_CHANGING
+    u, v = ((-rho if signed else 0.0, rho) for rho in (rho1, rho2))
+    return (u, u, v, v)
 
 
 class BoundEstimate(NamedTuple):
@@ -270,7 +254,7 @@ def _condition(
     if rho1 <= 0 or rho2 <= 0:
         raise ValueError("radii must be positive")
     rhos = (rho1, rho2)
-    full = Box4.sup_box(rho1, rho2, problem.variant)
+    full = sup_box(rho1, rho2, problem.variant)
     entries = []
     for j, comp, consts, rho, (value, slope) in zip(
         (1, 2), problem.components, table.components, rhos, _OWN
@@ -282,12 +266,12 @@ def _condition(
         else:
             rows = [
                 (f"inf f{j}/rho{j} > M{j}", "inf_plain", (env.a, env.b),
-                 replace(full, **{value: (env.c * rho, rho)}), consts.M),
+                 (*full[:value], (env.c * rho, rho), *full[value + 1:]), consts.M),
                 (f"inf* f{j}/rho{j} > M{j}*", "inf_star", (env.gamma, env.delta),
-                 replace(full, **{slope: (env.d * rho, rho)}), consts.M_star),
+                 (*full[:slope], (env.d * rho, rho), *full[slope + 1:]), consts.M_star),
             ]
         for name, hint, t_window, box, cres in rows:
-            est = _bound(comp, hint, (t_window, *box.intervals()), rho, rhos, policy, n)
+            est = _bound(comp, hint, (t_window, *box), rho, rhos, policy, n)
             mode = hint.partition("_")[0]
             entries.append(_entry(name, est, cres.constant, _constant_error(cres), mode))
     entries = tuple(entries)
@@ -311,7 +295,6 @@ def _check_ladder(
     for pair in ladder:
         if len(pair) != 2 or pair[0] <= 0 or pair[1] <= 0:
             raise LadderViolation(f"radius pair {pair!r} must be two positive reals")
-    names = ("rho", "r", "s", "sigma")
     for j, divide in enumerate(gap_divides):
         for i, comp in enumerate(problem.components):
             lo = ladder[j][i]
@@ -320,9 +303,9 @@ def _check_ladder(
             lhs = lo / c if divide else lo
             if not lhs < hi:
                 gap = (
-                    f"{names[j]}_{i + 1}/c_{i + 1} < {names[j + 1]}_{i + 1}"
+                    f"{RUNGS[j]}_{i + 1}/c_{i + 1} < {RUNGS[j + 1]}_{i + 1}"
                     if divide
-                    else f"{names[j]}_{i + 1} < {names[j + 1]}_{i + 1}"
+                    else f"{RUNGS[j]}_{i + 1} < {RUNGS[j + 1]}_{i + 1}"
                 )
                 raise LadderViolation(f"gap inequality {gap} violated: {lhs!r} >= {hi!r}")
 
@@ -388,7 +371,7 @@ def _alternative(
     slope: float,
     pin_axis: int,
     t_window: tuple[float, float],
-    box: Box4,
+    box: tuple[tuple[float, float], ...],
     n: int,
     positive_only: bool,
     eps: float,
@@ -399,7 +382,7 @@ def _alternative(
     otherwise pinned != 0 and f < slope * |pinned|.  Excluded points are
     dropped from the pinned axis, so f is never evaluated there.
     """
-    axes = box_axes((t_window, *box.intervals()), n)
+    axes = box_axes((t_window, *box), n)
     k = 1 + pin_axis  # axis 0 is t
     axes[k] = axes[k][axes[k] > 0.0] if positive_only else axes[k][axes[k] != 0.0]
     if axes[k].size == 0:
@@ -417,7 +400,7 @@ def _alternative(
 def check_nonexistence(
     problem: SystemProblem,
     table: ConstantsTable,
-    sample_box: Box4,
+    sample_box: tuple[tuple[float, float], ...],
     n: int = 41,
 ) -> Certificate:
     """Sample the non-existence alternatives on a truncated argument box.
@@ -432,9 +415,9 @@ def check_nonexistence(
         raise ValueError("n must be at least 2")
     records = []
     supported = True
-    for i, (comp, consts, (sub, _)) in enumerate(zip(problem.components, table.components, _OWN)):
+    for i, (comp, consts, (axis, _)) in enumerate(zip(problem.components, table.components, _OWN)):
         f_fn = nonlinearity(comp)
-        pin_axis = sum(_OWN, ()).index(sub)
+        sub = NONLIN_VARS[1 + axis]
         env = comp.envelope
         m = consts.m.constant
         big = consts.M.constant / env.c
@@ -442,11 +425,11 @@ def check_nonexistence(
         eps_b = _epsilon(_constant_error(consts.M) / env.c, big)
         alt_a = _alternative(
             f"N{i + 1}a: f{i + 1} < m{i + 1}|{sub}|",
-            f_fn, m, pin_axis, (0.0, 1.0), sample_box, n, False, eps_a,
+            f_fn, m, axis, (0.0, 1.0), sample_box, n, False, eps_a,
         )
         alt_b = _alternative(
             f"N{i + 1}b: f{i + 1} > (M{i + 1}/c{i + 1}){sub}",
-            f_fn, big, pin_axis, (env.a, env.b), sample_box, n, True, eps_b,
+            f_fn, big, axis, (env.a, env.b), sample_box, n, True, eps_b,
         )
         records.extend([alt_a, alt_b])
         supported = supported and (alt_a.holds or alt_b.holds)

@@ -29,7 +29,7 @@ from hamcert.conditions import (
     certify,
     check_I1,
     check_nonexistence,
-    Box4,
+    sup_box,
 )
 from hamcert.constants import compute_table
 from hamcert.greens3 import GreenParams, build_kernel, check_kernel_properties, default_envelope, verify_bvp
@@ -315,7 +315,7 @@ def test_criterion_8_nonexistence_path(sign_changing, sign_table):
         hints=BoundHints(),
     )
     problem = dataclasses.replace(sign_changing.problem, comp1=comp1, comp2=comp2)
-    box = Box4.sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
+    box = sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
     cert = check_nonexistence(problem, sign_table, box, n=41)
     bad = []
     if cert.verdict is not Verdict.HOLDS or cert.solution_count != 0:

@@ -8,7 +8,7 @@ from importlib import resources
 import pytest
 
 from hamcert import conditions, greens3, quadopt, solver
-from hamcert.cli import ProblemFileError, load_problem, main
+from hamcert.cli import CheckConfig, ProblemFileError, SolverConfig, load_problem, main
 from hamcert.conditions import Scenario
 from hamcert.model import ConeVariant
 
@@ -63,6 +63,7 @@ PARSE_CASES = [
     ("rho = 0.03, 0.3", "rho = 0.03", "two comma-separated values"),
     ("d = 7/18\n", "", "must declare d"),
     ("f = (u1^2", "f = (u1^^2", "byte offset"),
+    ("r = 700, 600", "s = 700, 600", "s needs r before it"),
 ]
 
 
@@ -74,6 +75,15 @@ def test_parse_errors_carry_location(tmp_path, sign_text, old, new, fragment):
     message = str(exc.value)
     assert fragment in message
     assert re.search(r":\d+:\d+: ", message)  # path:line:col: prefix
+
+
+def test_sections_left_out_take_their_defaults(tmp_path, sign_text):
+    components = sign_text.partition("[cone]")[0]  # schema = 1 and both components
+    loaded = load_problem(_write(tmp_path, components))
+    assert loaded.check == CheckConfig(None, (), 17, (10.0, 10.0), 41)
+    assert loaded.solver == SolverConfig()
+    assert loaded.solver.n == 401
+    assert loaded.problem.variant is ConeVariant.SIGN_CHANGING
 
 
 def test_unknown_section_rejected(tmp_path, sign_text):
@@ -131,6 +141,8 @@ def test_envelope_range_errors_are_located(tmp_path, third_text, capsys, new, li
 @pytest.mark.parametrize("old,new,line,fragment", [
     ("n = 401", "n = 50", 54, "expected an integer >= 101, got '50'"),
     ("theta = 1", "theta = x", 55, "unknown variable 'x'"),
+    ("theta = 1", "theta = 0", 55, "theta must be in (0, 1], got 0.0"),
+    ("tol = 1e-10", "tol = -1", 56, "tol must be positive"),
     ("max_iter = 200", "max_iter = 1.5", 57, "expected an integer >= 1, got '1.5'"),
     ("init = zero", "init = hot", 58, "init must be 'zero' or 'bump', got 'hot'"),
 ])

@@ -14,7 +14,6 @@ from hamcert.conditions import (
     GRID_ESTIMATE,
     USER_HINT,
     BoundEstimate,
-    Box4,
     HintInconsistent,
     HintMissing,
     HintPolicy,
@@ -25,6 +24,7 @@ from hamcert.conditions import (
     check_I0,
     check_I1,
     check_nonexistence,
+    sup_box,
     _entry,
 )
 from hamcert.model import HINT_VARS, NONLIN_VARS, BoundHints, ConeVariant
@@ -51,10 +51,10 @@ def _with_f(comp, f_text: str, sup=None, inf_plain=None, inf_star=None):
 
 
 def test_sup_box_symmetric_vs_one_sided():
-    sym = Box4.sup_box(0.03, 0.3, ConeVariant.SIGN_CHANGING)
-    assert sym.intervals() == ((-0.03, 0.03), (-0.03, 0.03), (-0.3, 0.3), (-0.3, 0.3))
-    pos = Box4.sup_box(10.0, 10.0, ConeVariant.NON_NEGATIVE)
-    assert pos.intervals() == ((0.0, 10.0),) * 4
+    sym = sup_box(0.03, 0.3, ConeVariant.SIGN_CHANGING)
+    assert sym == ((-0.03, 0.03), (-0.03, 0.03), (-0.3, 0.3), (-0.3, 0.3))
+    pos = sup_box(10.0, 10.0, ConeVariant.NON_NEGATIVE)
+    assert pos == ((0.0, 10.0),) * 4
 
 
 @pytest.mark.parametrize("coord", ["u1", "u2", "v1", "v2"])
@@ -350,7 +350,7 @@ def test_nonexistence_supported_by_construction(sign_changing, sign_table):
     comp1 = _with_f(sign_changing.problem.comp1, f"{m1 / 2!r}*abs(u1)")
     comp2 = _with_f(sign_changing.problem.comp2, f"{m2 / 2!r}*abs(v1)")
     problem = dataclasses.replace(sign_changing.problem, comp1=comp1, comp2=comp2)
-    box = Box4.sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
+    box = sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
     cert = check_nonexistence(problem, sign_table, box, n=41)
     assert cert.verdict is Verdict.HOLDS
     assert cert.solution_count == 0
@@ -371,7 +371,7 @@ def test_nonexistence_second_alternative(sign_changing, sign_table):
         comp2=comp2,
         variant=ConeVariant.NON_NEGATIVE,
     )
-    box = Box4.sup_box(10.0, 10.0, ConeVariant.NON_NEGATIVE)
+    box = sup_box(10.0, 10.0, ConeVariant.NON_NEGATIVE)
     cert = check_nonexistence(problem, sign_table, box, n=41)
     assert cert.verdict is Verdict.HOLDS
     record = {a.name: a for a in cert.alternatives}
@@ -380,7 +380,7 @@ def test_nonexistence_second_alternative(sign_changing, sign_table):
 
 
 def test_nonexistence_refuted_for_bundled_nonlinearity(sign_changing, sign_table):
-    box = Box4.sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
+    box = sup_box(10.0, 10.0, ConeVariant.SIGN_CHANGING)
     cert = check_nonexistence(sign_changing.problem, sign_table, box, n=41)
     assert cert.verdict is Verdict.FAILS
     assert all(not a.holds for a in cert.alternatives)
