@@ -57,6 +57,7 @@ from .model import (
     verify_nonneg_f,
 )
 from .solver import (
+    MAX_NODES,
     GridPair,
     bump_init,
     cone_membership,
@@ -270,12 +271,12 @@ def _build_component(sec: _Section, name: str, path: str) -> Component:
     )
 
 
-def _positive_int(entry: _Entry, path: str, minimum: int = 1) -> int:
+def _positive_int(entry: _Entry, path: str, minimum: int = 1, maximum: float = float("inf")) -> int:
     val = _const(entry, path)
-    if val != int(val) or int(val) < minimum:
+    if val != int(val) or not minimum <= val <= maximum:
+        bound = f"between {minimum} and {maximum}" if maximum < float("inf") else f">= {minimum}"
         raise ProblemFileError(
-            f"expected an integer >= {minimum}, got {entry.value!r}",
-            path, entry.line, entry.col,
+            f"expected an integer {bound}, got {entry.value!r}", path, entry.line, entry.col
         )
     return int(val)
 
@@ -316,7 +317,7 @@ _SECTION_KEYS = {
         "nonexistence_resolution": partial(_positive_int, minimum=2),
     },
     "solver": {
-        "n": partial(_positive_int, minimum=101),
+        "n": partial(_positive_int, minimum=101, maximum=MAX_NODES),
         # picard's own range checks, here located at the entry
         "theta": partial(_bounded, ok=lambda v: 0.0 < v <= 1.0,
                          message="theta must be in (0, 1], got {}"),
@@ -532,7 +533,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
     all_pass = True
     sections = []
     n_grid = args.grid if args.grid is not None else 2001
-    ode_tol = args.tol if args.tol is not None else 1e-4
+    ode_tol = args.tol if args.tol is not None else greens3.ODE_TOL
     greens3.check_bvp_grid(n_grid)
     for i, comp in enumerate(loaded.problem.components):
         params = comp.kernel.green
@@ -581,7 +582,7 @@ _COMMANDS = {
 
 
 def _grid_size(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 2:
+    if not re.fullmatch(r"[0-9]+", text.strip()) or int(text) < 2:  # ASCII digits only
         raise argparse.ArgumentTypeError(f"expected an integer >= 2, got {text!r}")
     return int(text)
 

@@ -139,7 +139,8 @@ def test_envelope_range_errors_are_located(tmp_path, third_text, capsys, new, li
 
 
 @pytest.mark.parametrize("old,new,line,fragment", [
-    ("n = 401", "n = 50", 54, "expected an integer >= 101, got '50'"),
+    ("n = 401", "n = 50", 54, "expected an integer between 101 and 4001, got '50'"),
+    ("n = 401", "n = 5000", 54, "expected an integer between 101 and 4001, got '5000'"),
     ("theta = 1", "theta = x", 55, "unknown variable 'x'"),
     ("theta = 1", "theta = 0", 55, "theta must be in (0, 1], got 0.0"),
     ("tol = 1e-10", "tol = -1", 56, "tol must be positive"),
@@ -246,6 +247,16 @@ def test_green_check_runs_on_green_kernels(capsys):
     assert "branch gluing is continuous" in out
 
 
+@pytest.mark.parametrize("grid", ["6001", "10001"])
+def test_green_check_passes_the_bvp_on_large_grids(grid, capsys):
+    # w is compared with the exact solution, so refining the grid adds no error
+    assert main(["green-check", bundled_path("third_order.prob"), "--grid", grid]) == 2
+    bvp = re.findall(r"(?m)^  bvp h = (\S+): (.*)$", capsys.readouterr().out)
+    assert [h for h, _ in bvp] == ["1", "s", "1", "s"]
+    for _, line in bvp:
+        assert float(re.match(r"ode residual (\S+),", line).group(1)) < 1e-12
+
+
 def test_green_check_writes_json_report(tmp_path, capsys):
     out = tmp_path / "green.json"
     assert main(["green-check", bundled_path("third_order.prob"), "--out", str(out)]) == 2
@@ -327,7 +338,7 @@ def test_solve_grid_above_the_ceiling_exits_one_before_building(name, monkeypatc
     assert "grid needs at most 4001 nodes, got 20001" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["0", "1", "-5", "many"])
+@pytest.mark.parametrize("grid", ["0", "1", "-5", "many", "²"])
 def test_grid_below_two_is_rejected(grid, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", bundled_path("sign_changing.prob"), "--grid", grid])
@@ -349,7 +360,7 @@ def test_literal_that_overflows_is_a_file_error(tmp_path, sign_text, capsys):
     assert "bad numeric literal '1e400'" in capsys.readouterr().err
 
 
-OVER_CAP = str(quadopt.MAX_AXIS_POINTS + 1)  # odd, so only the cap rejects it
+OVER_CAP = str(quadopt.MAX_AXIS_POINTS + 1)
 
 
 def _no_work(*args, **kwargs):
@@ -383,7 +394,7 @@ def test_green_check_rejects_its_grid_before_any_output(grid, monkeypatch, capsy
     assert main(["green-check", bundled_path("third_order.prob"), "--grid", grid]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert "n_grid must be odd and between 101" in err
+    assert "n_grid must be between 101" in err
 
 
 _UNREAD_FLAGS = [
