@@ -37,7 +37,7 @@ from .conditions import (
 )
 from .constants import compute_table
 from .exprlang import ExprError
-from .quadopt import QuadratureFailure
+from .quadopt import MAX_AXIS_POINTS, QuadratureFailure
 from .model import (
     AssumptionReport,
     BoundHints,
@@ -313,8 +313,8 @@ _SECTION_KEYS = {
         "scenario": _choice({s.value: s for s in Scenario}, "unknown scenario {!r}"),
         **dict.fromkeys(RUNGS, partial(_pair, what="radii")),
         "nonexistence_box": partial(_pair, what="box bounds"),
-        "resolution": partial(_positive_int, minimum=2),
-        "nonexistence_resolution": partial(_positive_int, minimum=2),
+        "resolution": partial(_positive_int, minimum=2, maximum=MAX_AXIS_POINTS),
+        "nonexistence_resolution": partial(_positive_int, minimum=2, maximum=MAX_AXIS_POINTS),
     },
     "solver": {
         "n": partial(_positive_int, minimum=101, maximum=MAX_NODES),

@@ -1,8 +1,9 @@
 """Arithmetic expression language for kernels, weights, envelopes and nonlinearities.
 
 Expressions are parsed once into immutable syntax trees and evaluated in IEEE
-double precision, either on scalars or elementwise on numpy arrays.  The
-grammar is deliberately small:
+double precision, either on scalars or elementwise on numpy arrays.  Python's
+own parser (``ast``) reads the text, with ``^`` standing for Python's ``**``,
+and only this small part of Python's grammar is accepted:
 
     expr   := term (('+' | '-') term)*
     term   := unary (('*' | '/') unary)*
@@ -12,10 +13,20 @@ grammar is deliberately small:
 
 Functions: sin, cos, exp, abs, sqrt (unary) and min, max (binary).  A literal
 quotient such as 7/8 is folded to its double-precision value at parse time.
+NUMBER is a decimal literal (2, 0.07, .5, 1e-3); as in Python, an integer may
+not have leading zeros (007 is an error, 00.5 is not).  VAR is a declared
+variable, spelled exactly as declared.  Everything else Python would read is
+an error: ``**``, ``#``, unary ``+``, ``~``, ``not``, ``//``, ``%``, ``@``,
+comparisons, conditionals, strings, tuples, subscripts, attributes, keyword,
+starred or trailing-comma arguments, and hexadecimal, underscored or imaginary
+literals.  Tokens are separated by ASCII whitespace.  More than 200 nested
+parentheses, or nesting too deep to parse, is a syntax error.  Error offsets
+count bytes of the text as written.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -97,157 +108,78 @@ class Call:
 
 Expr = Union[Num, Var, Neg, BinOp, Call]
 
-_TOKEN_OPS = set("+-*/^(),")
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# '^' is Python's '**'; ASCII whitespace becomes a space, so the text is one line
+_TO_PYTHON = str.maketrans({"^": "**", **dict.fromkeys("\t\n\r\v\f", " ")})
+_DECIMAL = frozenset("0123456789.eE+-")
 
 
 def _byte_offset(text: str, index: int) -> int:
     return len(text[:index].encode("utf-8"))
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
-            lit = text[i:j]
-            try:
-                finite = bool(np.isfinite(float(lit)))
-            except ValueError:
-                finite = False
-            if not finite:
-                raise ExprSyntaxError(f"bad numeric literal {lit!r}", _byte_offset(text, i))
-            tokens.append(("num", lit, i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", _byte_offset(text, i))
-    tokens.append(("end", "", n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, variables: frozenset[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> None:
-        kind, value, idx = self.peek()
-        raise ExprSyntaxError(message, _byte_offset(self.text, idx))
-
-    def expect_op(self, symbol: str) -> None:
-        kind, value, _ = self.peek()
-        if kind != "op" or value != symbol:
-            self.fail(f"expected {symbol!r}")
-        self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            self.fail("unexpected trailing input")
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.peek()[:2] in (("op", "*"), ("op", "/")):
-            op = self.advance()[1]
-            rhs = self.unary()
-            if op == "/" and isinstance(node, Num) and isinstance(rhs, Num) and rhs.value != 0.0:
-                # rational literal such as 7/8: fold to a double at parse time
-                node = Num(node.value / rhs.value)
-            else:
-                node = BinOp(op, node, rhs)
-        return node
-
-    def unary(self) -> Expr:
-        if self.peek()[:2] == ("op", "-"):
-            self.advance()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        if self.peek()[:2] == ("op", "^"):
-            self.advance()
-            return BinOp("^", base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
-        kind, value, idx = self.peek()
-        if kind == "num":
-            self.advance()
-            return Num(float(value))
-        if kind == "ident":
-            self.advance()
-            if self.peek()[:2] == ("op", "("):
-                if value not in FUNCTIONS:
-                    raise UnknownFunctionError(value)
-                self.advance()
-                args = [self.expr()]
-                while self.peek()[:2] == ("op", ","):
-                    self.advance()
-                    args.append(self.expr())
-                self.expect_op(")")
-                expected = FUNCTIONS[value]
-                if len(args) != expected:
-                    raise ArityError(value, expected, len(args))
-                return Call(value, tuple(args))
-            if value not in self.variables:
-                raise UnknownVariableError(value)
-            return Var(value)
-        if kind == "op" and value == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        self.fail("expected a number, variable, function call or parenthesis")
-        raise AssertionError("unreachable")
-
-
 def parse(text: str, variables: Iterable[str]) -> Expr:
     """Parse ``text`` over the declared variable set into an immutable tree."""
-    return _Parser(text, frozenset(variables)).parse()
+    for banned in ("**", "#"):  # not the language's power; Python would read a comment
+        if banned in text:
+            raise ExprSyntaxError(f"unexpected {banned!r}", _byte_offset(text, text.index(banned)))
+    source = text.translate(_TO_PYTHON)
+    body = source.lstrip(" ")  # Python reads leading space as an indent
+    lead = len(source) - len(body)
+    raw = body.encode()
+    names = frozenset(variables)
+
+    def fail(message: str, col: int) -> ExprSyntaxError:
+        """The error at byte ``col`` of ``raw``, located in ``text``: each '**' was one '^'."""
+        return ExprSyntaxError(message, lead + col - raw[:col].count(b"**"))
+
+    def source_of(node: ast.AST) -> str:
+        return raw[node.col_offset:node.end_col_offset].decode()
+
+    def convert(node: ast.expr) -> Expr:
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            literal = source_of(node)
+            if set(literal) <= _DECIMAL:
+                value = float(literal)
+                if not np.isfinite(value):
+                    raise fail(f"bad numeric literal {literal!r}", node.col_offset)
+                return Num(value)
+        elif isinstance(node, ast.Name):  # by its text, as Python folds 'ｓ' to 's'
+            name = source_of(node)
+            if name not in names:
+                raise UnknownVariableError(name)
+            return Var(name)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(convert(node.operand))
+        elif isinstance(node, ast.BinOp) and type(node.op) in _BINOPS:
+            left, right = convert(node.left), convert(node.right)
+            if (isinstance(node.op, ast.Div) and isinstance(left, Num) and isinstance(right, Num)
+                    and right.value != 0.0):
+                # rational literal such as 7/8: fold to a double at parse time
+                return Num(left.value / right.value)
+            return BinOp(_BINOPS[type(node.op)], left, right)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.col_offset == node.col_offset and not node.keywords
+              and b"," not in raw[(node.args or [node.func])[-1].end_col_offset:
+                                  node.end_col_offset]):
+            # FUNC '(' expr (',' expr)* ')': no '(sin)(x)', no keywords, no trailing comma
+            func = source_of(node.func)
+            if func not in FUNCTIONS:
+                raise UnknownFunctionError(func)
+            args = tuple(convert(arg) for arg in node.args)
+            if len(args) != FUNCTIONS[func]:
+                raise ArityError(func, FUNCTIONS[func], len(args))
+            return Call(func, args)
+        raise fail(f"unexpected {source_of(node)!r}", node.col_offset)
+
+    try:
+        return convert(ast.parse(body, mode="eval").body)
+    except SyntaxError as exc:  # exc.offset counts characters from 1, and is 0 at the end
+        index = lead + exc.offset - 1 if exc.offset else len(source)
+        offset = _byte_offset(text, index - source[:index].count("**"))
+        raise ExprSyntaxError(exc.msg, offset) from None
+    except (RecursionError, MemoryError):  # nesting deeper than Python's parser or stack
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
 _UNARY_CALLS = {

@@ -64,6 +64,9 @@ PARSE_CASES = [
     ("d = 7/18\n", "", "must declare d"),
     ("f = (u1^2", "f = (u1^^2", "byte offset"),
     ("r = 700, 600", "s = 700, 600", "s needs r before it"),
+    # nested deeper than the recursion limit, and than Python's 200 parentheses
+    pytest.param("f = ", "f = " + "-" * 5000, "byte offset", id="5000-minus-signs"),
+    pytest.param("f = ", "f = " + "(" * 300, "byte offset", id="300-parentheses"),
 ]
 
 
@@ -376,10 +379,17 @@ def test_scan_resolution_above_the_cap_exits_one(command, key, tmp_path, sign_te
     monkeypatch.setattr(conditions, "grid_extremum", _no_work)
     src = bundled_path("sign_changing.prob")
     assert main([command, src, "--grid", OVER_CAP]) == 1
-    over_file = _write(tmp_path, re.sub(rf"(?m)^{key} = \d+$", f"{key} = {OVER_CAP}", sign_text))
-    assert main([command, over_file]) == 1
-    err = capsys.readouterr().err
-    assert err.count(f"at most {quadopt.MAX_AXIS_POINTS} points per axis, got {OVER_CAP}") == 2
+    assert (f"at most {quadopt.MAX_AXIS_POINTS} points per axis, got {OVER_CAP}"
+            in capsys.readouterr().err)
+    line = sign_text[:re.search(rf"(?m)^{key} = ", sign_text).start()].count("\n") + 1
+    for value in (OVER_CAP, "1e300"):  # located at load, as the entry was written
+        over = re.sub(rf"(?m)^{key} = \d+$", f"{key} = {value}", sign_text)
+        over_file = _write(tmp_path, over)
+        assert main([command, over_file]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {over_file}:{line}:1: expected an integer between 2 and "
+            f"{quadopt.MAX_AXIS_POINTS}, got '{value}'\n"
+        )
 
 
 def test_green_check_grid_above_the_cap_exits_one(monkeypatch, capsys):

@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamcert.exprlang import (
+    FUNCTIONS,
     ArityError,
+    BinOp,
+    Call,
     DomainError,
+    ExprError,
     ExprSyntaxError,
+    Neg,
     Num,
     UnknownFunctionError,
     UnknownVariableError,
+    Var,
     evaluate,
     parse,
 )
@@ -77,6 +83,36 @@ def test_syntax_errors_carry_byte_offsets(text):
         parse(text, ("a", "b"))
 
 
+PYTHON_ONLY = [
+    "x**2", "0x10", "1_0", "1j", "True", "None", "s if t else s", "s < t", "not s", "+s",
+    "s[0]", "s.real", "'a'", "lambda: 1", "min(s, b=2)", "min(*s)", "1 # c", "s;t", "(1, 2)",
+    "x // 2", "x % 2", "x @ x", "~x", "ｓ", "007", "(sin)(s)", "min(s, t,)",
+]
+
+
+@pytest.mark.parametrize("text", PYTHON_ONLY)
+def test_python_only_syntax_is_rejected(text):
+    with pytest.raises(ExprError):
+        parse(text, ("s", "t", "x"))
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("s^2 + 1e400", 6),  # each '^' is one byte, though Python reads it as '**'
+    ("  s^2^s + 1e400", 10),
+    ("ρ + (", 5),  # bytes, not characters: 'ρ' is two
+    ("s +\n 1e400", 5),
+    ("s^2 +", 5),  # the end of the text
+])
+def test_offsets_count_bytes_of_the_text_as_written(text, offset):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text, ("s", "ρ"))
+    assert exc.value.offset == offset
+
+
+def test_ascii_whitespace_separates_tokens():
+    assert parse(" \ts +\n t\r\n", ("s", "t")) == BinOp("+", Var("s"), Var("t"))
+
+
 @pytest.mark.parametrize("text", ["1e400", "2 * 1e309", "s + 9e99999"])
 def test_literals_that_overflow_are_rejected(text):
     with pytest.raises(ExprSyntaxError, match=r"bad numeric literal .*byte offset"):
@@ -125,3 +161,62 @@ def test_arithmetic_matches_python(x, y, z):
 @given(x=finite)
 def test_trig_identity(x):
     assert ev("sin(x)^2 + cos(x)^2", ("x",), x=x) == pytest.approx(1.0, abs=1e-12)
+
+
+VARS = ("t", "s", "u1")
+LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}  # unary minus is 3, atoms 5
+
+
+def show(node, need: int = 1) -> str:
+    """``node`` with the fewest parentheses; wrapped if it binds looser than ``need``."""
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Call):
+        return f"{node.func}({', '.join(show(a) for a in node.args)})"
+    if isinstance(node, Neg):
+        level, text = 3, "-" + show(node.operand, 3)
+    elif node.op == "^":  # an atom base and a unary exponent
+        level, text = 4, show(node.left, 5) + "^" + show(node.right, 3)
+    else:  # left-associative: the right operand binds one level tighter
+        level = LEVEL[node.op]
+        text = show(node.left, level) + node.op + show(node.right, level + 1)
+    return f"({text})" if level < need else text
+
+
+def _grow(children):
+    def call(func):
+        args = st.lists(children, min_size=FUNCTIONS[func], max_size=FUNCTIONS[func])
+        return args.map(lambda a: Call(func, tuple(a)))
+
+    binops = st.builds(BinOp, st.sampled_from("+-*/^"), children, children).filter(
+        lambda b: not (b.op == "/" and isinstance(b.left, Num) and isinstance(b.right, Num))
+    )  # Num / Num folds to a Num at parse time
+    return st.one_of(children.map(Neg), binops, st.sampled_from(sorted(FUNCTIONS)).flatmap(call))
+
+
+trees = st.recursive(
+    st.one_of(
+        st.sampled_from(VARS).map(Var),
+        st.floats(0.0, 1e30, allow_nan=False).map(lambda x: Num(abs(x))),
+    ),
+    _grow,
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=trees)
+def test_grammar_round_trips(tree):
+    assert parse(show(tree), VARS) == tree
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a^-b^c", BinOp("^", Var("a"), Neg(BinOp("^", Var("b"), Var("c"))))),
+    ("-a^b*c", BinOp("*", Neg(BinOp("^", Var("a"), Var("b"))), Var("c"))),
+    ("-7/8", BinOp("/", Neg(Num(7.0)), Num(8.0))),  # not folded: -7 is not a literal
+    ("7/8*t", BinOp("*", Num(0.875), Var("t"))),
+])
+def test_precedence_and_folding(text, tree):
+    assert parse(text, ("a", "b", "c", "t")) == tree
