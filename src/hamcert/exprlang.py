@@ -21,28 +21,35 @@ comparisons, conditionals, strings, tuples, subscripts, attributes, keyword,
 starred or trailing-comma arguments, and hexadecimal, underscored or imaginary
 literals.  Tokens are separated by ASCII whitespace.  More than 200 nested
 parentheses, or nesting too deep to parse, is a syntax error.  Error offsets
-count bytes of the text as written.
+count bytes of the text as written.  A tree is compiled into a Python function
+on its first evaluation.  A DomainError names the first operation whose value
+is not finite; a non-finite variable is an error only once an operation's
+result carries it.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
 Number = Union[float, np.ndarray]
 
-FUNCTIONS: dict[str, int] = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "abs": 1,
-    "sqrt": 1,
-    "min": 2,
-    "max": 2,
+# operation: its Python source, its name in DomainError messages, and whether an inf or
+# NaN operand can give a finite value, as 1/inf, inf^0, exp(-inf) and min(inf, 1) do
+_OPERATIONS = {
+    "+": ("{} + {}", "addition", False), "-": ("{} - {}", "subtraction", False),
+    "*": ("{} * {}", "multiplication", False), "/": ("divide({}, {})", "division", True),
+    "^": ("power({}, {})", "exponentiation", True),
+    "sin": ("sin({})", "sin", False), "cos": ("cos({})", "cos", False),
+    "exp": ("exp({})", "exp", True), "abs": ("absolute({})", "abs", False),
+    "sqrt": ("sqrt({})", "sqrt", False),
+    "min": ("minimum({}, {})", "min", True), "max": ("maximum({}, {})", "max", True),
 }
+FUNCTIONS: dict[str, int] = {  # name: arity
+    name: source.count("{}") for name, (source, _, _) in _OPERATIONS.items() if name.isalpha()}
 
 
 class ExprError(Exception):
@@ -78,30 +85,34 @@ class DomainError(ExprError):
     negative number, overflow to infinity)."""
 
 
+class _Node:
+    __slots__ = ("_compiled",)  # evaluate's compiled tree; ==, hash and repr ignore it
+
+
 @dataclass(frozen=True, slots=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True, slots=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
 
 
 @dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(_Node):
     op: str
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True, slots=True)
-class Call:
+class Call(_Node):
     func: str
     args: tuple["Expr", ...]
 
@@ -182,59 +193,68 @@ def parse(text: str, variables: Iterable[str]) -> Expr:
         raise ExprSyntaxError("expression nested too deeply", 0) from None
 
 
-_UNARY_CALLS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-}
-_BINARY_CALLS = {"min": np.minimum, "max": np.maximum}
+_HELPERS = {f.__name__: f for f in (np.divide, np.power, np.sin, np.cos, np.exp, np.absolute,
+                                     np.sqrt, np.minimum, np.maximum, np.isfinite)}
+_CHECK = "    if not isfinite({}).all(): raise DomainError('non-finite value produced by {}')"
 
 
-def _check_finite(value: Number, what: str) -> Number:
-    if not np.all(np.isfinite(value)):
-        raise DomainError(f"non-finite value produced by {what}")
-    return value
+def _compile(expr: Expr, strict: bool) -> tuple[Callable[[Mapping[str, Number]], Number], str]:
+    """A function of env that evaluates ``expr``, and its source: one statement per operation,
+    in the walk's order, each deleting the temporaries v<k> it used.  Numbers are bound globals
+    c<k> and variables repr-quoted env keys, so no text of the tree enters the source."""
+    namespace = dict(_HELPERS, DomainError=DomainError)
+    lines = ["def run(env):"]
+
+    def emit(node: Expr, checked: bool) -> tuple[str, str | None]:
+        """(operand text, name of the operation whose value's finiteness it shares).
+
+        The value is checked if it is the result or an operand of an operation that can
+        absorb inf or NaN (``checked``), and with ``strict`` after every operation."""
+        if isinstance(node, Num):
+            name = f"c{len(namespace)}"
+            namespace[name] = node.value
+            return name, None
+        if isinstance(node, Var):
+            return f"env[{node.name!r}]", None
+        if isinstance(node, Neg):  # a sign keeps inf and NaN; the walk never checked it
+            children, (text, what, absorbs) = (node.operand,), ("-{}", None, False)
+        elif isinstance(node, BinOp):
+            children, (text, what, absorbs) = (node.left, node.right), _OPERATIONS[node.op]
+        else:
+            children, (text, what, absorbs) = node.args, _OPERATIONS[node.func]
+        operands, made_by = zip(*(emit(child, absorbs) for child in children))
+        temp = f"v{len(lines)}"
+        used = ", ".join(operand for operand in operands if operand[0] == "v")
+        lines.append(f"    {temp} = {text.format(*operands)}" + (f"; del {used}" if used else ""))
+        what = what or made_by[0]
+        if what and (checked or strict):
+            lines.append(_CHECK.format(temp, what))
+        return temp, what
+
+    lines.append(f"    return {emit(expr, True)[0]}")
+    exec("\n".join(lines), namespace)
+    return namespace["run"], "\n".join(lines)
 
 
 def evaluate(expr: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate ``expr`` in ``env``; scalar in, scalar out, arrays broadcast.
 
     Evaluation is total over the reals: any excursion to inf or NaN raises
-    DomainError instead of propagating.
+    DomainError instead of propagating.  The tree is compiled on its first evaluation; an
+    error is found again with every operation checked, to name the first non-finite one.
     """
+    try:
+        run = expr._compiled
+    except AttributeError:
+        run = _compile(expr, strict=False)[0]
+        object.__setattr__(expr, "_compiled", run)
     with np.errstate(all="ignore"):
-        return _eval(expr, env)
-
-
-def _eval(expr: Expr, env: Mapping[str, Number]) -> Number:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
         try:
-            return env[expr.name]
-        except KeyError:
-            raise UnknownVariableError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -_eval(expr.operand, env)
-    if isinstance(expr, BinOp):
-        left = _eval(expr.left, env)
-        right = _eval(expr.right, env)
-        if expr.op == "+":
-            return _check_finite(left + right, "addition")
-        if expr.op == "-":
-            return _check_finite(left - right, "subtraction")
-        if expr.op == "*":
-            return _check_finite(left * right, "multiplication")
-        if expr.op == "/":
-            return _check_finite(np.divide(left, right), "division")
-        if expr.op == "^":
-            return _check_finite(np.power(left, right), "exponentiation")
-        raise AssertionError(f"bad operator {expr.op!r}")
-    if isinstance(expr, Call):
-        args = [_eval(a, env) for a in expr.args]
-        if expr.func in _UNARY_CALLS:
-            return _check_finite(_UNARY_CALLS[expr.func](args[0]), expr.func)
-        return _check_finite(_BINARY_CALLS[expr.func](args[0], args[1]), expr.func)
-    raise AssertionError(f"bad node {expr!r}")
+            return run(env)
+        except (DomainError, KeyError):
+            pass
+        try:
+            _compile(expr, strict=True)[0](env)
+        except KeyError as exc:
+            raise UnknownVariableError(exc.args[0]) from None
+    raise AssertionError(f"no error evaluating {expr!r} with every operation checked")

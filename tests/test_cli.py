@@ -197,6 +197,12 @@ def test_constants_of_a_kernel_that_ignores_s(tmp_path, sign_text, capsys):
     assert rows["m1*"]["reciprocal"] == pytest.approx(9 / 8, rel=1e-12)
 
 
+def test_constants_reports_a_domain_error(tmp_path, sign_text, capsys):
+    text = sign_text.replace("weight = 1\n", "weight = 1/(s - 1/2)\n", 1)
+    assert main(["constants", _write(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == "error: non-finite value produced by division\n"
+
+
 def test_assumptions_sign_changing_exits_zero(capsys):
     assert main(["assumptions", bundled_path("sign_changing.prob")]) == 0
     capsys.readouterr()

@@ -1,13 +1,16 @@
 """Expression language: parsing, evaluation, folding, and error reporting."""
 from __future__ import annotations
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamcert import exprlang
 from hamcert.exprlang import (
     FUNCTIONS,
     ArityError,
@@ -220,3 +223,129 @@ def test_grammar_round_trips(tree):
 ])
 def test_precedence_and_folding(text, tree):
     assert parse(text, ("a", "b", "c", "t")) == tree
+
+
+# ------------------------------------------------- compiled trees against the walk
+
+
+def _finite(value, what):
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"non-finite value produced by {what}")
+    return value
+
+
+WALK_BINOPS = {"+": ("addition", lambda a, b: a + b), "-": ("subtraction", lambda a, b: a - b),
+               "*": ("multiplication", lambda a, b: a * b), "/": ("division", np.divide),
+               "^": ("exponentiation", np.power)}
+WALK_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs, "sqrt": np.sqrt,
+              "min": np.minimum, "max": np.maximum}
+
+
+def walk(expr, env):
+    """The reference: the tree walk that evaluated every tree before trees were compiled."""
+    if isinstance(expr, Num):
+        return expr.value
+    if isinstance(expr, Var):
+        return env[expr.name]
+    if isinstance(expr, Neg):
+        return -walk(expr.operand, env)
+    if isinstance(expr, BinOp):
+        left = walk(expr.left, env)
+        right = walk(expr.right, env)
+        what, fn = WALK_BINOPS[expr.op]
+        return _finite(fn(left, right), what)
+    args = [walk(a, env) for a in expr.args]
+    return _finite(WALK_CALLS[expr.func](*args), expr.func)
+
+
+POINTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e300, -1e300]
+values_of_t = st.one_of(st.sampled_from(POINTS),  # t along a column, s along a row
+                        st.lists(st.sampled_from(POINTS), min_size=1, max_size=4)
+                        .map(lambda v: np.array(v)[:, None]))
+values_of_s = st.one_of(st.sampled_from(POINTS), st.sampled_from(POINTS).map(np.float64),
+                        st.lists(st.sampled_from(POINTS), min_size=1, max_size=4).map(np.array))
+trees_in_t_s = st.recursive(
+    st.one_of(st.sampled_from(("t", "s")).map(Var),
+              st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e30]).map(Num)),
+    _grow,
+    max_leaves=10,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=trees_in_t_s, t=values_of_t, s=values_of_s)
+def test_a_compiled_tree_gives_what_the_walk_gives(tree, t, s):
+    env = {"t": t, "s": s}
+    try:
+        with np.errstate(all="ignore"):
+            expected = walk(tree, env)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            evaluate(tree, env)
+        assert str(got.value) == str(exc)
+        return
+    got = evaluate(tree, env)
+    assert type(got) is type(expected)  # a Python float, a numpy scalar or an array
+    assert np.shape(got) == np.shape(expected)
+    assert np.asarray(got).dtype == np.asarray(expected).dtype
+    assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("text", [
+    "min(1/s, 2)", "exp(0 - 1/s)", "(1/s)^0", "1/(1/s)", "max(0 - 1/s, 1)",
+])
+def test_an_inner_inf_is_reported_where_a_later_operation_would_absorb_it(text):
+    # each would be finite at s = 0 if only the result were checked
+    for s in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError, match="^non-finite value produced by division$"):
+            ev(text, ("s",), s=s)
+
+
+def test_an_infinite_variable_passes_an_operation_that_absorbs_it():
+    assert ev("min(u, 1)", ("u",), u=math.inf) == 1.0
+    with pytest.raises(DomainError, match="by addition$"):
+        ev("u + 1", ("u",), u=math.inf)
+
+
+def test_a_missing_variable_is_reported_by_name():
+    with pytest.raises(UnknownVariableError, match="'s'"):
+        evaluate(parse("t + s", ("t", "s")), {"t": 1.0})
+
+
+def test_evaluation_compiles_a_tree_once_and_leaves_it_as_it_was(monkeypatch):
+    text = "s^2 + sin(t)/min(s, t)"
+    tree = parse(text, ("s", "t"))
+    before = (hash(tree), repr(tree))
+    compiled = []
+    real = exprlang._compile
+    monkeypatch.setattr(exprlang, "_compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
+    assert evaluate(tree, {"s": 1.0, "t": 2.0}) == 1.0 + math.sin(2.0)
+    assert evaluate(tree, {"s": 2.0, "t": 2.0}) == 4.0 + math.sin(2.0) / 2.0
+    assert len(compiled) == 1
+    assert tree == parse(text, ("s", "t"))
+    assert (hash(tree), repr(tree)) == before
+
+
+ODD_NAME = "a']; x=('"
+HAND_BUILT = [
+    (BinOp("^", Num(-1.0), Num(2.0)), {}, 1.0),
+    (BinOp("+", Num(math.inf), Num(1.0)), {}, "non-finite value produced by addition"),
+    (BinOp("*", Var(ODD_NAME), Num(2.0)), {ODD_NAME: 1.5}, 3.0),
+]
+HELPERS = {"env", "run", "DomainError", *exprlang._HELPERS}
+
+
+@pytest.mark.parametrize("tree,env,expected", HAND_BUILT)
+def test_hand_built_trees_evaluate_and_no_tree_text_enters_the_source(tree, env, expected):
+    if isinstance(expected, str):
+        with pytest.raises(DomainError, match=f"^{expected}$"):
+            evaluate(tree, env)
+    else:
+        assert evaluate(tree, env) == expected
+    for strict in (False, True):
+        source = exprlang._compile(tree, strict)[1]
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                assert node.id in HELPERS or re.fullmatch(r"[cv]\d+", node.id)
+            if isinstance(node, ast.Constant):  # only the variable's key and the messages
+                assert node.value == ODD_NAME or node.value.startswith("non-finite value")

@@ -6,7 +6,10 @@ Unpacks ``git archive REF`` into a temporary directory (``.git`` is only
 read), then runs ``python -m hamcert.cli CMD FILE --no-meta --out F`` in both
 trees, each from its own root with its own ``src`` on PYTHONPATH.
 The runs are the six commands on both bundled problems, plus
-``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``.
+``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``,
+and every job of the benchmark workloads at seed 1, whose problem files
+``perfbench/workloads.py`` writes into the temporary directory (the module
+is imported without writing bytecode; nothing under ``perfbench/`` changes).
 Exit code, stdout, stderr and the JSON report must match byte for byte.
 Prints each run that differs; exits 1 if any does, else 0.
 """
@@ -42,6 +45,17 @@ def run(tree: Path, report: Path, argv: list[str]) -> tuple:
     return done.returncode, done.stdout, done.stderr, report.read_bytes() if report.exists() else None
 
 
+def workload_runs(out_dir: Path) -> list[list[str]]:
+    """The argv of every job of every benchmark workload at seed 1."""
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    return [[job["command"], job["file"], *job["extra"]]
+            for name in workloads.WORKLOADS
+            for job in workloads.generate(name, 1, out_dir / name)]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/same_bytes.py REF", file=sys.stderr)
@@ -55,16 +69,16 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(ref)
         report = Path(tmp) / "report.json"
+        runs = [[extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
+                for prob in PROBLEMS for extra in RUNS] + workload_runs(Path(tmp) / "workloads")
         differ = 0
-        for prob in PROBLEMS:
-            for extra in RUNS:
-                argv_run = [extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
-                a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
-                parts = [p for p, x, y in zip(("exit", "stdout", "stderr", "json"), a, b) if x != y]
-                if parts:
-                    differ += 1
-                    print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv_run)}")
-        print(f"{differ} of {len(PROBLEMS) * len(RUNS)} runs differ from {argv[0]}")
+        for argv_run in runs:
+            a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
+            parts = [p for p, x, y in zip(("exit", "stdout", "stderr", "json"), a, b) if x != y]
+            if parts:
+                differ += 1
+                print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv_run)}")
+        print(f"{differ} of {len(runs)} runs differ from {argv[0]}")
     return 1 if differ else 0
 
 
