@@ -243,6 +243,8 @@ def evaluate(expr: Expr, env: Mapping[str, Number]) -> Number:
     DomainError instead of propagating.  The tree is compiled on its first evaluation; an
     error is found again with every operation checked, to name the first non-finite one.
     """
+    if isinstance(expr, Num):  # a literal: its value, with no code to generate
+        return expr.value
     try:
         run = expr._compiled
     except AttributeError:
@@ -258,3 +260,54 @@ def evaluate(expr: Expr, env: Mapping[str, Number]) -> Number:
         except KeyError as exc:
             raise UnknownVariableError(exc.args[0]) from None
     raise AssertionError(f"no error evaluating {expr!r} with every operation checked")
+
+
+def polynomial_coefficients(expr: Expr, var: str, degree: int) -> tuple[Expr, ...] | None:
+    """Trees c_0 .. c_d free of ``var`` with expr = sum of var^p * c_p and d <= degree, or None.
+
+    ``var`` may appear under a sign, +, -, *, a division by a tree free of it and a power
+    that is a non-negative integer literal; a zero coefficient is Num(0.0).
+    """
+    def plus(a, b, op="+"):  # a op b, None standing for a zero coefficient
+        if a is None or b is None:
+            return a if b is None else b if op == "+" else Neg(b)
+        return BinOp(op, a, b)
+
+    def product(a, b):
+        out = {}
+        for i, x in a.items():
+            for j, y in b.items():
+                out[i + j] = plus(out.get(i + j), BinOp("*", x, y))
+        return out
+
+    def walk(node: Expr) -> dict | None:  # power: coefficient; {0: node} iff free of var
+        if isinstance(node, (Num, Var)):
+            return {1: Num(1.0)} if node == Var(var) else {0: node}
+        children = ((node.operand,) if isinstance(node, Neg) else node.args
+                    if isinstance(node, Call) else (node.left, node.right))
+        parts = [walk(child) for child in children]
+        if all(part == {0: child} for part, child in zip(parts, children)):
+            return {0: node}
+        if None in parts or isinstance(node, Call):
+            return None
+        if isinstance(node, Neg):
+            return {p: Neg(x) for p, x in parts[0].items()}
+        left, right = parts
+        if node.op in "+-":
+            return {p: plus(left.get(p), right.get(p), node.op) for p in left.keys() | right.keys()}
+        if node.op == "*":
+            return product(left, right)
+        if node.op == "/" and right == {0: node.right}:
+            return {p: BinOp("/", x, node.right) for p, x in left.items()}
+        power = node.right.value if node.op == "^" and isinstance(node.right, Num) else -1.0
+        if power < 0 or not power.is_integer():
+            return None
+        out = {0: Num(1.0)}
+        for _ in range(min(int(power), degree + 1)):  # the degree grows with every factor
+            out = product(out, left)
+        return out
+
+    coefficients = walk(expr)
+    if coefficients is None or max(coefficients) > degree:
+        return None
+    return tuple(coefficients.get(p, Num(0.0)) for p in range(max(coefficients) + 1))

@@ -100,13 +100,10 @@ def _select_branch(branches, eta: float, t, s):
     s = np.asarray(s, dtype=float)
     only = _single_branch(eta, t, s)
     if only is not None:
-        return np.asarray(branches[only](t, s))  # an array even for 0-d input, as np.select
+        return np.asarray(branches[only](t, s))  # an array even for 0-d input, as np.where
     b1, b2, b3, b4 = [b(t, s) for b in branches]
-    return np.select(
-        [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
-        [b1, b2, b3],
-        default=b4,
-    )
+    return np.where(s <= np.minimum(eta, t), b1, np.where(
+        (t <= s) & (s <= eta), b2, np.where((eta <= s) & (s <= t), b3, b4)))
 
 
 def build_kernel(params: GreenParams) -> KernelSpec:

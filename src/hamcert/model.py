@@ -47,13 +47,16 @@ class KernelSpec:
     may lose smoothness (repeats and points outside (0, 1) are ignored).
     ``green`` holds the Green family's parameters, or None for a closed-form
     kernel, whose sign changes in s must be located numerically when |k| is
-    integrated.
+    integrated.  ``expressions`` holds a closed-form kernel's (k, dk/dt)
+    trees, which the solver reads to factor a kernel polynomial in t; the
+    Green family carries None.
     """
 
     k: Callable
     dk_dt: Callable
     breakpoints: Callable[[np.ndarray], np.ndarray]
     green: GreenParams | None
+    expressions: tuple[Expr, Expr] | None = field(default=None, compare=False)
 
     @staticmethod
     def from_expressions(k_expr: Expr, dk_expr: Expr) -> "KernelSpec":
@@ -63,7 +66,7 @@ class KernelSpec:
         def dk(t, s):
             return exprlang.evaluate(dk_expr, {"t": t, "s": s})
 
-        return KernelSpec(k, dk, lambda t: np.empty(np.shape(t) + (0,)), None)
+        return KernelSpec(k, dk, lambda t: np.empty(np.shape(t) + (0,)), None, (k_expr, dk_expr))
 
 
 @dataclass(frozen=True)

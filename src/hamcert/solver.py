@@ -7,7 +7,10 @@ Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4):
 each image is one matrix-vector product with n x n weights.  The weights
 are composite Gauss-7 sums over panels split at the grid nodes and the
 kernel breakpoints, built in cache-sized row blocks, and the last problem's
-weights are kept for reuse.
+weights are kept for reuse.  When every kernel and its t-derivative is a
+closed-form polynomial in t of degree at most 3, the weights factor exactly
+as V @ C with V[i, p] = t_i^p (a degenerate kernel, ibid. ch. 2): C holds the
+same panel sums of the coefficients of t^p, and no n x n array is built.
 u' is iterated through the derivative kernel, not by differencing u.
 """
 
@@ -19,12 +22,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import quadopt
+from . import exprlang, quadopt
 from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
 
-# Most grid nodes a solve accepts: its four n x n float64 weight matrices
-# then take about 0.5 GB.
+# Most grid nodes a solve accepts: the four n x n float64 weight matrices of a
+# problem that _discretize builds then take about 0.5 GB.
 MAX_NODES = 4001
+
+# Highest degree in t of a kernel applied in factored form.  On [0, 1] the monomial
+# coefficients of a degree-3 polynomial can reach those of T_3(2t - 1) = 32t^3 - 48t^2
+# + 18t - 1, whose magnitudes sum to 99 (577 at degree 4), so the factored apply loses
+# at most about 100 ulps of sup_t |k(t, s)|.
+_T_DEGREE = 3
 
 _FIELDS = ("u", "du", "v", "dv")  # the nodal arrays of a GridPair
 
@@ -106,6 +115,52 @@ class _Weights(NamedTuple):
     matrices: tuple[tuple[np.ndarray, np.ndarray], ...]  # (K_i, dK_i/dt) per component
 
 
+class _Factored(NamedTuple):
+    """Weights V @ C of a kernel sum_p t^p c_p(s): V[i, p] = t_i^p, C[p] the weights of c_p."""
+    v: np.ndarray
+    c: np.ndarray
+
+    def __matmul__(self, f: np.ndarray) -> np.ndarray:
+        return self.v @ (self.c @ f)
+
+
+def _panels(problem: SystemProblem, n: int):
+    """The n-node grid, the Gauss-7 nodes s of the panels split at the grid nodes and the
+    kernel breakpoints (panels x 7, flattened and ascending), the first panel of every
+    grid cell, and per component the (left, right) hat weights of g at s, panels x 7."""
+    grid = _uniform_grid(n)
+    grid.flags.writeable = False
+    bps = [comp.kernel.breakpoints(grid).ravel() for comp in problem.components]
+    edges = np.unique(np.concatenate([grid, *bps]))
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    edges = edges[np.r_[True, np.diff(edges) > 1e-12]]  # merge near-duplicates
+    lo, hi = edges[:-1], edges[1:]
+    half = 0.5 * (hi - lo)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(7)  # Gauss-Legendre 7 on [-1, 1]
+    s = (0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]).ravel()
+    w = (half[:, None] * gl_w[None, :]).ravel()
+    cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
+    frac = ((s - grid[cell]) / (grid[cell + 1] - grid[cell])).reshape(len(lo), 7)
+    starts = np.searchsorted(cell[::7], np.arange(n - 1))  # every cell holds a panel
+    hats = []
+    for comp in problem.components:
+        gw = (function_of_s(comp.weight)(s) * w).reshape(frac.shape)
+        hats.append((gw * (1.0 - frac), gw * frac))
+    return grid, s, starts, hats
+
+
+def _hat_sums(vals: np.ndarray, hats, starts: np.ndarray) -> np.ndarray:
+    """The Gauss-7 sums of each row of vals (at the nodes s) against the hat of every node."""
+    left, right = (np.einsum("rpq,pq->rp", vals.reshape(len(vals), *hat.shape), hat)
+                   for hat in hats)
+    if left.shape[1] > len(starts):  # some cell holds several panels
+        left, right = (np.add.reduceat(x, starts, axis=1) for x in (left, right))
+    out = np.zeros((len(vals), len(starts) + 1))
+    out[:, :-1] = left
+    out[:, 1:] += right
+    return out
+
+
 @functools.lru_cache(maxsize=1)
 def _discretize(problem: SystemProblem, n: int) -> _Weights:
     """Product-integration weights of k_i*g_i and dk_i/dt*g_i on the n-node grid.
@@ -118,31 +173,15 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     breakpoints of its first and last rows, one branch of a piecewise kernel each
     off the diagonal, and is contracted with the hat weights of every panel.
     """
-    grid = _uniform_grid(n)
-    grid.flags.writeable = False
-    bps = [comp.kernel.breakpoints(grid).ravel() for comp in problem.components]
-    edges = np.unique(np.concatenate([grid, *bps]))
-    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
-    edges = edges[np.r_[True, np.diff(edges) > 1e-12]]  # merge near-duplicates
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    gl_x, gl_w = np.polynomial.legendre.leggauss(7)  # Gauss-Legendre 7 on [-1, 1]
-    # quadrature nodes: panels x 7, flattened and ascending
-    s = (0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
-    cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
-    frac = ((s - grid[cell]) / (grid[cell + 1] - grid[cell])).reshape(len(lo), 7)
-    starts = np.searchsorted(cell[::7], np.arange(n - 1))  # every cell holds a panel
+    grid, s, starts, hats = _panels(problem, n)
     rows = max(1, quadopt.BLOCK_VALUES // len(s))
     buf = np.empty((rows, len(s)))
     matrices = []
-    for comp in problem.components:
-        gw = (function_of_s(comp.weight)(s) * w).reshape(frac.shape)
-        hats = (gw * (1.0 - frac), gw * frac)
+    for comp, hat in zip(problem.components, hats):
         bps_at = comp.kernel.breakpoints
         pair = []
         for kern in (comp.kernel.k, comp.kernel.dk_dt):
-            out = np.zeros((n, n))
+            out = np.empty((n, n))
             for r in range(0, n, rows):
                 t = grid[r:r + rows, None]
                 vals = buf[:len(t)]
@@ -150,16 +189,30 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
                 cuts = np.unique(np.r_[0, seams, len(s)])
                 for a, b in zip(cuts[:-1], cuts[1:]):
                     vals[:, a:b] = kern(t, s[a:b])
-                blocks = vals.reshape(len(t), len(lo), 7)
-                left, right = (np.einsum("rpq,pq->rp", blocks, hat) for hat in hats)
-                if len(lo) > n - 1:  # some cell holds several panels
-                    left, right = (np.add.reduceat(x, starts, axis=1) for x in (left, right))
-                out[r:r + rows, :-1] = left
-                out[r:r + rows, 1:] += right
+                out[r:r + rows] = _hat_sums(vals, hat, starts)
             out.flags.writeable = False
             pair.append(out)
         matrices.append(tuple(pair))
     return _Weights(grid, grid, tuple(matrices))
+
+
+@functools.lru_cache(maxsize=1)
+def _factored(problem: SystemProblem, n: int) -> _Weights | None:
+    """_discretize's weights as _Factored pairs, on the same panels, when every kernel and
+    its t-derivative is a closed-form polynomial in t of degree at most _T_DEGREE; else None."""
+    polynomials = [
+        [exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in comp.kernel.expressions]
+        if comp.kernel.expressions else [None] for comp in problem.components]
+    if any(c is None for pair in polynomials for c in pair):
+        return None
+    grid, s, starts, hats = _panels(problem, n)
+
+    def factor(coefficients, hat) -> _Factored:
+        c = _hat_sums(np.array([function_of_s(cp)(s) for cp in coefficients]), hat, starts)
+        return _Factored(np.vander(grid, len(c), increasing=True), c)
+
+    return _Weights(grid, grid, tuple(
+        tuple(factor(cs, hat) for cs in pair) for pair, hat in zip(polynomials, hats)))
 
 
 def apply_T(problem: SystemProblem, p: GridPair) -> GridPair:
@@ -313,7 +366,7 @@ def linear_image(
     analog on the n-node grid; q_i are nodal values interpolated linearly.
     For nonnegative q the result lies in the cone by the envelope bounds.
     """
-    weights = _discretize(problem, n)
+    weights = _factored(problem, n) or _discretize(problem, n)
     (k1, d1), (k2, d2) = weights.matrices
     return GridPair(weights.grid, k1 @ q1, d1 @ q1, k2 @ q2, d2 @ q2)
 

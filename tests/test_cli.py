@@ -7,7 +7,7 @@ from importlib import resources
 
 import pytest
 
-from hamcert import conditions, greens3, quadopt, solver
+from hamcert import conditions, exprlang, greens3, quadopt, solver
 from hamcert.cli import CheckConfig, ProblemFileError, SolverConfig, load_problem, main
 from hamcert.conditions import Scenario
 from hamcert.model import ConeVariant
@@ -504,3 +504,12 @@ def test_report_key_tree(command, name, tmp_path, capsys):
         return
     keys = _key_paths(json.loads(out.read_text()))
     assert keys == {"command", "problem", "schema", *REPORT_KEYS[command]}
+
+
+@pytest.mark.parametrize("name", ["sign_changing.prob", "third_order.prob"])
+def test_loading_a_bundled_problem_compiles_no_expression(name, monkeypatch):
+    compiled = []
+    real = exprlang._compile
+    monkeypatch.setattr(exprlang, "_compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
+    load_problem(bundled_path(name))
+    assert compiled == []

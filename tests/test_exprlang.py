@@ -349,3 +349,42 @@ def test_hand_built_trees_evaluate_and_no_tree_text_enters_the_source(tree, env,
                 assert node.id in HELPERS or re.fullmatch(r"[cv]\d+", node.id)
             if isinstance(node, ast.Constant):  # only the variable's key and the messages
                 assert node.value == ODD_NAME or node.value.startswith("non-finite value")
+
+
+# ------------------------------------------------------- polynomial coefficients
+
+
+@pytest.mark.parametrize("text", ["s*(7/8*t - t^2)", "(t - s)^3", "t^2/(1 + s)", "-t*exp(s)"])
+def test_coefficients_in_t_sum_back_to_the_tree(text):
+    tree = parse(text, ("t", "s"))
+    coefficients = exprlang.polynomial_coefficients(tree, "t", 3)
+    t, s = np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, 1.0, 37)[None, :]
+    direct = evaluate(tree, {"t": t, "s": s})
+    terms = [t**p * evaluate(c, {"s": s}) for p, c in enumerate(coefficients)]
+    scale = max(np.max(np.abs(term)) for term in terms)  # (t - s)^3 cancels terms up to 3
+    assert np.max(np.abs(sum(terms) - direct)) <= 4 * np.finfo(float).eps * scale
+    for c in coefficients:
+        evaluate(c, {"s": s})  # free of t: no UnknownVariableError
+
+
+@pytest.mark.parametrize(
+    "text", ["exp(t)", "t/(1 + t)", "sin(t*s)", "t^0.5", "min(t, s)", "abs(t - s)", "t^4"])
+def test_a_tree_that_is_no_polynomial_of_degree_three_in_t_has_no_coefficients(text):
+    assert exprlang.polynomial_coefficients(parse(text, ("t", "s")), "t", 3) is None
+
+
+def test_coefficients_of_a_tree_free_of_t_and_of_a_zeroth_power():
+    tree = parse("s*exp(s)", ("t", "s"))
+    assert exprlang.polynomial_coefficients(tree, "t", 3) == (tree,)
+    assert exprlang.polynomial_coefficients(parse("s*t^0", ("t", "s")), "t", 3) == (
+        BinOp("*", Var("s"), Num(1.0)),)
+    assert exprlang.polynomial_coefficients(parse("s*t^2", ("t", "s")), "t", 3)[:2] == (
+        Num(0.0), Num(0.0))
+
+
+def test_a_bare_number_evaluates_to_its_value_without_compiling(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(exprlang, "_compile", lambda *a, **k: compiled.append(a))
+    tree = Num(math.inf)
+    assert evaluate(tree, {}) is tree.value
+    assert compiled == []

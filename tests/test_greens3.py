@@ -327,3 +327,18 @@ def test_family_invariants_hold_across_parameters(ae):
     assert items["dk/dt(1,s) = alpha*dk/dt(eta,s)"].passed
     spec = build_kernel(params)
     assert spec.k(0.0, 0.37) == 0.0
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+@pytest.mark.parametrize("table", [greens3._kernel_branches, greens3._derivative_branches])
+def test_branch_choice_matches_np_select_on_the_seams(params, table):
+    eta = params.eta
+    s = np.r_[np.linspace(0.0, 1.0, 300), eta][None, :]
+    t = np.r_[np.linspace(0.0, 1.0, 500), eta, s[0]][:, None]  # s = t, s = eta and t = eta
+    branches = table(params.alpha, eta)
+    values = [branch(t, s) for branch in branches]
+    reference = np.select(
+        [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
+        values[:3], default=values[3])
+    chosen = greens3._select_branch(branches, eta, t, s)
+    assert chosen.dtype == reference.dtype and np.array_equal(chosen, reference)

@@ -7,13 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamcert import exprlang, quadopt
-from hamcert.model import NONLIN_VARS, BoundHints
+from hamcert import exprlang, quadopt, solver
+from hamcert.model import KERNEL_VARS, NONLIN_VARS, WEIGHT_VARS, BoundHints, KernelSpec
 from hamcert.solver import (
     MAX_NODES,
     Divergence,
     GridPair,
     _discretize,
+    _factored,
     apply_T,
     bump_init,
     cone_membership,
@@ -310,3 +311,65 @@ def test_export_table_round_trip(sign_changing):
     assert np.max(np.abs(values[:, 0] - p.grid)) < 1e-12
     assert np.max(np.abs(values[:, 1] - p.u)) < 1e-10
     assert np.max(np.abs(values[:, 4] - p.dv)) < 1e-10
+
+
+# ------------------------------------------------------------- factored weights
+
+
+def _with_kernel(problem, kernel: str, kernel_dt: str, weight: str = "1", index: int = 0):
+    spec = KernelSpec.from_expressions(*(exprlang.parse(x, KERNEL_VARS)
+                                         for x in (kernel, kernel_dt)))
+    comp = dataclasses.replace(problem.components[index], kernel=spec,
+                               weight=exprlang.parse(weight, WEIGHT_VARS))
+    return dataclasses.replace(problem, **{("comp1", "comp2")[index]: comp})
+
+
+def _cubic(problem):
+    for index, weight in enumerate(("1 + s", "2 - s")):
+        problem = _with_kernel(problem, "(t - s)^3 + s*t", "3*(t - s)^2 + s", weight, index)
+    return problem
+
+
+@pytest.mark.parametrize("n", [101, 401])
+@pytest.mark.parametrize("make", [lambda p: p, _cubic], ids=["sign_changing", "cubic"])
+def test_factored_weights_apply_as_the_dense_weights(n, make, sign_changing):
+    problem = make(sign_changing.problem)
+    factored = _factored.__wrapped__(problem, n)
+    dense = _discretize.__wrapped__(problem, n)
+    f = np.random.default_rng(3).standard_normal(n)
+    for pair, dense_pair in zip(factored.matrices, dense.matrices):
+        for op, matrix in zip(pair, dense_pair):
+            assert op.v.shape[1] <= 4 and op.c.shape == (op.v.shape[1], n)
+            exact = matrix @ f
+            assert np.max(np.abs(op @ f - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
+def test_polynomial_kernels_build_no_dense_weights(sign_changing, monkeypatch):
+    monkeypatch.setattr(solver, "_discretize", lambda *a: pytest.fail("dense weights built"))
+    image = linear_image(sign_changing.problem, np.ones(401), np.ones(401), n=401)
+    assert np.max(np.abs(image.u)) > 0.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda p, third: _with_kernel(p, "exp(-t*s)", "-s*exp(-t*s)"),
+    lambda p, third: third.problem,
+    lambda p, third: dataclasses.replace(p, comp2=third.problem.comp2),
+], ids=["exp", "third_order", "mixed"])
+def test_other_kernels_keep_the_dense_weights(make, sign_changing, third_order, monkeypatch):
+    problem = make(sign_changing.problem, third_order)
+    built = []
+    monkeypatch.setattr(solver, "_discretize",
+                        lambda *a: built.append(a) or _discretize.__wrapped__(*a))
+    image = linear_image(problem, np.ones(101), np.ones(101), n=101)
+    assert built == [(problem, 101)] and np.all(np.isfinite(image.u))
+
+
+def test_factored_build_at_2001_nodes_needs_under_2_mb(sign_changing):
+    _factored.__wrapped__(sign_changing.problem, 101)  # first-call compiles
+    tracemalloc.start()
+    try:
+        weights = _factored.__wrapped__(sign_changing.problem, 2001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert weights is not None and peak < 2_000_000

@@ -11,12 +11,15 @@ and every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
 is imported without writing bytecode; nothing under ``perfbench/`` changes).
 Exit code, stdout, stderr and the JSON report must match byte for byte.
-Prints each run that differs; exits 1 if any does, else 0.
+Prints each run that differs, and for a JSON report that differs the numeric
+leaves that moved (path, value at REF, value here and the relative change, at
+most 10 per report); exits 1 if any run differs, else 0.
 """
 
 from __future__ import annotations
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -43,6 +46,29 @@ def run(tree: Path, report: Path, argv: list[str]) -> tuple:
     done = subprocess.run([sys.executable, "-m", "hamcert.cli", *argv, "--no-meta",
                            "--out", str(report)], cwd=tree, env=env, capture_output=True)
     return done.returncode, done.stdout, done.stderr, report.read_bytes() if report.exists() else None
+
+
+def moved_numbers(ref: bytes, here: bytes, limit: int = 10) -> list[str]:
+    """One line per numeric JSON leaf that differs between two reports, at most ``limit``."""
+    lines: list[str] = []
+
+    def walk(a, b, path: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict):
+            for key in (k for k in a if k in b):
+                walk(a[key], b[key], f"{path}.{key}")
+        elif isinstance(a, list) and isinstance(b, list):
+            for i, (x, y) in enumerate(zip(a, b)):
+                walk(x, y, f"{path}[{i}]")
+        elif a != b and all(type(x) in (int, float) for x in (a, b)):  # bool is no number
+            rel = abs(b - a) / max(abs(a), abs(b))
+            lines.append(f"    {path or '.'}: {a!r} -> {b!r} (relative {rel:.1e})")
+
+    try:
+        walk(json.loads(ref), json.loads(here), "")
+    except ValueError:  # not JSON: the byte comparison has said all there is
+        return []
+    more = len(lines) - limit
+    return lines[:limit] + ([f"    ... and {more} more"] if more > 0 else [])
 
 
 def workload_runs(out_dir: Path) -> list[list[str]]:
@@ -78,6 +104,9 @@ def main(argv: list[str]) -> int:
             if parts:
                 differ += 1
                 print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv_run)}")
+                if "json" in parts and a[3] is not None and b[3] is not None:
+                    for line in moved_numbers(a[3], b[3]):
+                        print(line)
         print(f"{differ} of {len(runs)} runs differ from {argv[0]}")
     return 1 if differ else 0
 
