@@ -82,6 +82,25 @@ def _derivative_branches(alpha: float, eta: float):
             lambda t, s: t * (1.0 - s) / one)
 
 
+def branch_coefficients(alpha: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """c[b, p, q], the coefficient of t^p s^q in branch b of k (as in _kernel_branches), and
+    dk/dt's table by the shift c'[b, p] = (p + 1) c[b, p + 1]."""
+    b = 0.5 / (1.0 - alpha * eta)
+    a, e = (alpha - 1.0) * b, alpha * eta * b
+    c = np.array([[[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [0.0, a, 0.0]],  # s <= min(t, eta)
+                  [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, a, 0.0]],  # t <= s <= eta
+                  [[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [e, -b, 0.0]],  # eta <= s <= t
+                  [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [b, -b, 0.0]]])  # s >= max(t, eta)
+    return c, np.arange(1.0, 3.0)[:, None] * c[:, 1:]
+
+
+def branch_bounds(eta: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each branch's s-interval [lo, hi] on rows t, two 4 x len(t) arrays; empty off its rows."""
+    below, above, at_eta = np.minimum(t, eta), np.maximum(t, eta), np.full_like(t, eta)
+    return (np.stack([np.zeros_like(t), below, at_eta, above]),
+            np.stack([below, at_eta, above, np.ones_like(t)]))
+
+
 def _single_branch(eta: float, t: np.ndarray, s: np.ndarray) -> int | None:
     """Index of the branch that _select_branch picks for every (t, s) pair, if there is one."""
     if not (t.size and s.size):

@@ -48,8 +48,8 @@ class KernelSpec:
     ``green`` holds the Green family's parameters, or None for a closed-form
     kernel, whose sign changes in s must be located numerically when |k| is
     integrated.  ``expressions`` holds a closed-form kernel's (k, dk/dt)
-    trees, which the solver reads to factor a kernel polynomial in t; the
-    Green family carries None.
+    trees, from which the solver reads a kernel polynomial in t as one piece;
+    the Green family carries None.
     """
 
     k: Callable

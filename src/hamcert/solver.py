@@ -1,17 +1,15 @@
 """Product integration of the Hammerstein operator and Picard iteration.
 
 State is a GridPair: nodal values of (u, u', v, v') on the uniform grid
-linspace(0, 1, n).  The nonlinearity is evaluated at the n nodes only, and
-its linear interpolant is integrated exactly against k*g (Atkinson, The
-Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4):
-each image is one matrix-vector product with n x n weights.  The weights
-are composite Gauss-7 sums over panels split at the grid nodes and the
-kernel breakpoints, built in cache-sized row blocks, and the last problem's
-weights are kept for reuse.  When every kernel and its t-derivative is a
-closed-form polynomial in t of degree at most 3, the weights factor exactly
-as V @ C with V[i, p] = t_i^p (a degenerate kernel, ibid. ch. 2): C holds the
-same panel sums of the coefficients of t^p, and no n x n array is built.
-u' is iterated through the derivative kernel, not by differencing u.
+linspace(0, 1, n).  The nonlinearity is evaluated at the n nodes only, and its
+linear interpolant is integrated exactly against k*g by composite Gauss-7 sums
+over panels split at the grid nodes and the kernel breakpoints (Atkinson, The
+Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4).  A
+kernel made of pieces sum_p t^p c_p(s), on s-intervals bounded by 0, t, its
+breakpoints and 1 (a Green kernel, or a closed-form kernel of degree at most 3
+in t), is applied in O(n) by prefix sums of the hat moments of c_p*g along the
+panels; any other kernel by n x n weights.  The last problem's weights are kept
+for reuse.  u' is iterated through the derivative kernel, not by differencing u.
 """
 
 from __future__ import annotations
@@ -22,16 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import exprlang, quadopt
-from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
+from . import exprlang, greens3, quadopt
+from .model import ConeVariant, KernelSpec, SystemProblem, function_of_s, nonlinearity
 
-# Most grid nodes a solve accepts: the four n x n float64 weight matrices of a
-# problem that _discretize builds then take about 0.5 GB.
+# Most grid nodes a solve accepts.  It binds only the dense path, whose four n x n
+# float64 matrices (_discretize) then take about 0.5 GB; the piecewise apply is O(n).
 MAX_NODES = 4001
 
-# Highest degree in t of a kernel applied in factored form.  On [0, 1] the monomial
+# Highest degree in t of a closed-form kernel applied piecewise.  On [0, 1] the monomial
 # coefficients of a degree-3 polynomial can reach those of T_3(2t - 1) = 32t^3 - 48t^2
-# + 18t - 1, whose magnitudes sum to 99 (577 at degree 4), so the factored apply loses
+# + 18t - 1, whose magnitudes sum to 99 (577 at degree 4), so the apply loses
 # at most about 100 ulps of sup_t |k(t, s)|.
 _T_DEGREE = 3
 
@@ -115,19 +113,49 @@ class _Weights(NamedTuple):
     matrices: tuple[tuple[np.ndarray, np.ndarray], ...]  # (K_i, dK_i/dt) per component
 
 
-class _Factored(NamedTuple):
-    """Weights V @ C of a kernel sum_p t^p c_p(s): V[i, p] = t_i^p, C[p] the weights of c_p."""
+class _Piecewise(NamedTuple):
+    """Weights of a kernel's _pieces: v[i, p] = t_i^p; left/right[j, r] the moments of basis_r*g
+    on panel j against the hats of nodes cell[j], cell[j] + 1; lo/hi[b, i] piece b's edges."""
     v: np.ndarray
-    c: np.ndarray
+    coef: np.ndarray
+    cell: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
 
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
-        return self.v @ (self.c @ f)
+        prefix = np.zeros((len(self.cell) + 1, self.left.shape[1]))  # integrals up to each edge
+        np.cumsum(self.left * f[self.cell, None] + self.right * f[self.cell + 1, None], axis=0,
+                  out=prefix[1:])
+        span = np.take(prefix, self.hi, axis=0) - np.take(prefix, self.lo, axis=0)
+        return np.einsum("ip,ip->i", self.v, np.tensordot(span, self.coef, ([0, 2], [0, 2])))
+
+
+def _pieces(kernel: KernelSpec):
+    """(basis, bounds, k, dk): k = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in [lo_b(t), hi_b(t)],
+    (lo, hi) = bounds(t), and dk/dt the same with dk.  Green kernels have four branches over
+    1, s, s^2; closed-form kernels polynomial in t (degree <= _T_DEGREE) one piece over their
+    coefficients of t^p; other kernels None."""
+    if kernel.green is not None:
+        return (tuple(lambda s, q=q: s ** q for q in (0.0, 1.0, 2.0)),
+                functools.partial(greens3.branch_bounds, kernel.green.eta),
+                *greens3.branch_coefficients(kernel.green.alpha, kernel.green.eta))
+    k, dk = ([exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in kernel.expressions]
+             if kernel.expressions else (None, None))
+    if k is None or dk is None:
+        return None
+    size = len(k + dk)
+    return (tuple(map(function_of_s, k + dk)),
+            lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))),
+            np.eye(len(k), size)[None], np.eye(len(dk), size, len(k))[None])
 
 
 def _panels(problem: SystemProblem, n: int):
-    """The n-node grid, the Gauss-7 nodes s of the panels split at the grid nodes and the
-    kernel breakpoints (panels x 7, flattened and ascending), the first panel of every
-    grid cell, and per component the (left, right) hat weights of g at s, panels x 7."""
+    """The n-node grid, the panel edges (the grid nodes and the kernel breakpoints, ascending,
+    near-duplicates merged), the grid cell of every panel, the Gauss-7 nodes s of the panels
+    (panels x 7, flattened), the position frac of each node in its cell (0 to 1, panels x 7)
+    and a function that gives a component's g times the Gauss weights at s, panels x 7."""
     grid = _uniform_grid(n)
     grid.flags.writeable = False
     bps = [comp.kernel.breakpoints(grid).ravel() for comp in problem.components]
@@ -137,16 +165,15 @@ def _panels(problem: SystemProblem, n: int):
     lo, hi = edges[:-1], edges[1:]
     half = 0.5 * (hi - lo)
     gl_x, gl_w = np.polynomial.legendre.leggauss(7)  # Gauss-Legendre 7 on [-1, 1]
-    s = (0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel()
-    cell = np.clip(np.searchsorted(grid, s, side="right") - 1, 0, n - 2)
-    frac = ((s - grid[cell]) / (grid[cell + 1] - grid[cell])).reshape(len(lo), 7)
-    starts = np.searchsorted(cell[::7], np.arange(n - 1))  # every cell holds a panel
-    hats = []
-    for comp in problem.components:
-        gw = (function_of_s(comp.weight)(s) * w).reshape(frac.shape)
-        hats.append((gw * (1.0 - frac), gw * frac))
-    return grid, s, starts, hats
+    s = 0.5 * (lo + hi)[:, None] + half[:, None] * gl_x[None, :]
+    cell = np.clip(np.searchsorted(grid, s[:, 0], side="right") - 1, 0, n - 2)
+    frac = (s - grid[cell, None]) / (grid[cell + 1] - grid[cell])[:, None]
+    s = s.ravel()
+
+    def gw(comp) -> np.ndarray:
+        return function_of_s(comp.weight)(s).reshape(frac.shape) * (half[:, None] * gl_w[None, :])
+
+    return grid, edges, cell, s, frac, gw
 
 
 def _hat_sums(vals: np.ndarray, hats, starts: np.ndarray) -> np.ndarray:
@@ -173,11 +200,14 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     breakpoints of its first and last rows, one branch of a piecewise kernel each
     off the diagonal, and is contracted with the hat weights of every panel.
     """
-    grid, s, starts, hats = _panels(problem, n)
+    grid, _, cell, s, frac, gw = _panels(problem, n)
+    starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel
     rows = max(1, quadopt.BLOCK_VALUES // len(s))
     buf = np.empty((rows, len(s)))
     matrices = []
-    for comp, hat in zip(problem.components, hats):
+    for comp in problem.components:
+        g = gw(comp)
+        hat = (g * (1.0 - frac), g * frac)
         bps_at = comp.kernel.breakpoints
         pair = []
         for kern in (comp.kernel.k, comp.kernel.dk_dt):
@@ -197,22 +227,30 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
 
 
 @functools.lru_cache(maxsize=1)
-def _factored(problem: SystemProblem, n: int) -> _Weights | None:
-    """_discretize's weights as _Factored pairs, on the same panels, when every kernel and
-    its t-derivative is a closed-form polynomial in t of degree at most _T_DEGREE; else None."""
-    polynomials = [
-        [exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in comp.kernel.expressions]
-        if comp.kernel.expressions else [None] for comp in problem.components]
-    if any(c is None for pair in polynomials for c in pair):
+def _piecewise(problem: SystemProblem, n: int):
+    """The (k, dk/dt) _Piecewise weights of every component on _discretize's panels, when every
+    kernel has _pieces; else None."""
+    pieces = [_pieces(comp.kernel) for comp in problem.components]
+    if None in pieces:
         return None
-    grid, s, starts, hats = _panels(problem, n)
+    grid, edges, cell, s, frac, gw = _panels(problem, n)
+    # t_i and eta are edges, or within 1e-12 of the edge _panels kept: round to the nearest
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    v = np.vander(grid, _T_DEGREE + 1, increasing=True)
 
-    def factor(coefficients, hat) -> _Factored:
-        c = _hat_sums(np.array([function_of_s(cp)(s) for cp in coefficients]), hat, starts)
-        return _Factored(np.vander(grid, len(c), increasing=True), c)
+    def moments(fn, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        vals = fn(s).reshape(frac.shape)  # one basis function at a time bounds the memory
+        vals *= g  # in place: a basis function returns a new array
+        right = np.einsum("pq,pq->p", vals, frac)
+        return vals.sum(axis=1) - right, right
 
-    return _Weights(grid, grid, tuple(
-        tuple(factor(cs, hat) for cs in pair) for pair, hat in zip(polynomials, hats)))
+    def weights(comp, basis, bounds, k, dk) -> tuple[_Piecewise, _Piecewise]:
+        lo, hi = (np.searchsorted(mid, x).astype(np.int32) for x in bounds(grid))  # half size
+        g = gw(comp)
+        left, right = (np.stack(m, axis=1) for m in zip(*(moments(fn, g) for fn in basis)))
+        return tuple(_Piecewise(v[:, :c.shape[1]], c, cell, left, right, lo, hi) for c in (k, dk))
+
+    return tuple(weights(comp, *piece) for comp, piece in zip(problem.components, pieces))
 
 
 def apply_T(problem: SystemProblem, p: GridPair) -> GridPair:
@@ -366,9 +404,8 @@ def linear_image(
     analog on the n-node grid; q_i are nodal values interpolated linearly.
     For nonnegative q the result lies in the cone by the envelope bounds.
     """
-    weights = _factored(problem, n) or _discretize(problem, n)
-    (k1, d1), (k2, d2) = weights.matrices
-    return GridPair(weights.grid, k1 @ q1, d1 @ q1, k2 @ q2, d2 @ q2)
+    (k1, d1), (k2, d2) = _piecewise(problem, n) or _discretize(problem, n).matrices
+    return GridPair(_uniform_grid(n), k1 @ q1, d1 @ q1, k2 @ q2, d2 @ q2)
 
 
 def export_table(p: GridPair) -> str:

@@ -343,6 +343,7 @@ def test_solve_grid_above_the_ceiling_exits_one_before_building(name, monkeypatc
         raise AssertionError("weights built for an oversized grid")
 
     monkeypatch.setattr(solver, "_discretize", no_weights)
+    monkeypatch.setattr(solver, "_piecewise", no_weights)
     assert main(["solve", bundled_path(name), "--grid", "20001"]) == 1
     assert "grid needs at most 4001 nodes, got 20001" in capsys.readouterr().err
 

@@ -72,6 +72,36 @@ def _select_reference(pieces, eta, t, s):
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
+def test_branch_coefficients_reproduce_the_branches(params):
+    alpha, eta = params.alpha, params.eta
+    k_table, dk_table = greens3.branch_coefficients(alpha, eta)
+    assert k_table.shape == (4, 3, 3) and dk_table.shape == (4, 2, 3)
+    grid = np.unique(np.r_[np.linspace(0.0, 1.0, 61), eta])  # both seams: s = eta and s = t
+    t, s = grid[:, None], grid[None, :]
+    for table, branches in ((k_table, greens3._kernel_branches(alpha, eta)),
+                            (dk_table, greens3._derivative_branches(alpha, eta))):
+        for c, branch in zip(table, branches):
+            exact = branch(t, s) * np.ones_like(t * s)
+            poly = sum(c[p, q] * t**p * s**q for p in range(c.shape[0]) for q in range(3))
+            assert np.max(np.abs(poly - exact)) <= 1e-15 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_branch_bounds_cover_the_unit_interval_once(params):
+    t = np.unique(np.r_[np.linspace(0.0, 1.0, 41), params.eta])
+    lo, hi = greens3.branch_bounds(params.eta, t)
+    assert lo.shape == hi.shape == (4, len(t)) and np.all(lo <= hi)
+    assert np.array_equal(lo[0], np.zeros_like(t)) and np.array_equal(hi[-1], np.ones_like(t))
+    assert np.array_equal(hi[:-1], lo[1:])  # consecutive branches meet
+    kern = greens3._kernel_branches(params.alpha, params.eta)
+    for b, (a, z) in enumerate(zip(lo, hi)):  # _select_branch picks branch b inside its interval
+        inside = z - a > 1e-9
+        mid = 0.5 * (a + z)[inside]
+        picked = greens3._select_branch(kern, params.eta, t[inside], mid)
+        assert np.array_equal(picked, kern[b](t[inside], mid))
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
 def test_single_branch_evaluation_matches_select_bit_for_bit(params):
     alpha, eta = params.alpha, params.eta
     kern = build_kernel(params)

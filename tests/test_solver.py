@@ -7,14 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hamcert import exprlang, quadopt, solver
+from hamcert import exprlang, greens3, quadopt, solver
 from hamcert.model import KERNEL_VARS, NONLIN_VARS, WEIGHT_VARS, BoundHints, KernelSpec
 from hamcert.solver import (
     MAX_NODES,
     Divergence,
     GridPair,
     _discretize,
-    _factored,
+    _piecewise,
     apply_T,
     bump_init,
     cone_membership,
@@ -124,11 +124,14 @@ def test_operator_of_identity_nonlinearity_is_the_linear_image(sign_changing):
 
 
 def test_weight_memo_holds_one_problem(sign_changing, third_order):
-    apply_T(sign_changing.problem, GridPair.zeros(101))
-    apply_T(third_order.problem, GridPair.zeros(101))
+    exp_sign, exp_green = (_with_kernel(p.problem, "exp(-t*s)", "-s*exp(-t*s)")
+                           for p in (sign_changing, third_order))
+    apply_T(exp_sign, GridPair.zeros(101))
+    apply_T(exp_green, GridPair.zeros(101))
     assert _discretize.cache_info().currsize == 1
-    weights = _discretize(third_order.problem, 101)
-    assert _discretize.cache_info().currsize == 1
+    hits = _discretize.cache_info().hits
+    weights = _discretize(exp_green, 101)
+    assert _discretize.cache_info().currsize == 1 and _discretize.cache_info().hits == hits + 1
     assert weights.s is weights.grid and weights.matrices[1][1].shape == (101, 101)
     assert not weights.matrices[0][0].flags.writeable
 
@@ -330,18 +333,48 @@ def _cubic(problem):
     return problem
 
 
+def _green(problem, alpha: float, eta: float):
+    kernel = greens3.build_kernel(greens3.GreenParams(alpha, eta))
+    comps = (dataclasses.replace(c, kernel=kernel) for c in problem.components)
+    return dataclasses.replace(problem, **dict(zip(("comp1", "comp2"), comps)))
+
+
+def _assert_applies_as_dense(problem, n: int) -> None:
+    piecewise = _piecewise.__wrapped__(problem, n)
+    dense = _discretize.__wrapped__(problem, n)
+    f = np.random.default_rng(3).standard_normal(n)
+    for pair, dense_pair in zip(piecewise, dense.matrices):
+        for op, matrix in zip(pair, dense_pair):
+            assert op.v.shape == (n, op.coef.shape[1]) and op.coef.shape[1] <= 4
+            assert op.left.shape == op.right.shape == (len(op.cell), op.coef.shape[2])
+            exact = matrix @ f
+            assert np.max(np.abs(op @ f - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("n", [101, 401])
 @pytest.mark.parametrize("make", [lambda p: p, _cubic], ids=["sign_changing", "cubic"])
 def test_factored_weights_apply_as_the_dense_weights(n, make, sign_changing):
-    problem = make(sign_changing.problem)
-    factored = _factored.__wrapped__(problem, n)
-    dense = _discretize.__wrapped__(problem, n)
-    f = np.random.default_rng(3).standard_normal(n)
-    for pair, dense_pair in zip(factored.matrices, dense.matrices):
-        for op, matrix in zip(pair, dense_pair):
-            assert op.v.shape[1] <= 4 and op.c.shape == (op.v.shape[1], n)
-            exact = matrix @ f
-            assert np.max(np.abs(op @ f - exact)) <= 1e-13 * np.max(np.abs(exact))
+    _assert_applies_as_dense(make(sign_changing.problem), n)
+
+
+@pytest.mark.parametrize("n", [101, 401, 2001])
+def test_green_weights_apply_as_the_dense_weights(n, third_order):
+    _assert_applies_as_dense(third_order.problem, n)
+
+
+@pytest.mark.parametrize("alpha,eta", [
+    (2.0, 1 / 3),  # eta between two grid nodes
+    (1.5, 0.5 + 4e-13),  # eta merged into the node below it
+    (1.5, 0.5 - 4e-13),  # eta kept, the node above it merged
+], ids=["between-nodes", "above-a-node", "below-a-node"])
+def test_green_seams_off_the_grid_apply_as_the_dense_weights(alpha, eta, third_order):
+    _assert_applies_as_dense(_green(third_order.problem, alpha, eta), 101)
+
+
+def test_mixed_green_and_polynomial_weights_apply_as_the_dense_weights(sign_changing,
+                                                                       third_order):
+    mixed = dataclasses.replace(sign_changing.problem, comp2=third_order.problem.comp2)
+    _assert_applies_as_dense(mixed, 401)
 
 
 def test_polynomial_kernels_build_no_dense_weights(sign_changing, monkeypatch):
@@ -351,10 +384,22 @@ def test_polynomial_kernels_build_no_dense_weights(sign_changing, monkeypatch):
 
 
 @pytest.mark.parametrize("make", [
-    lambda p, third: _with_kernel(p, "exp(-t*s)", "-s*exp(-t*s)"),
     lambda p, third: third.problem,
     lambda p, third: dataclasses.replace(p, comp2=third.problem.comp2),
-], ids=["exp", "third_order", "mixed"])
+], ids=["third_order", "mixed"])
+def test_piecewise_kernels_build_no_dense_weights(make, sign_changing, third_order,
+                                                  monkeypatch):
+    problem = make(sign_changing.problem, third_order)
+    monkeypatch.setattr(solver, "_discretize", lambda *a: pytest.fail("dense weights built"))
+    image = linear_image(problem, np.ones(101), np.ones(101), n=101)
+    assert np.max(np.abs(image.v)) > 0.0 and np.all(np.isfinite(image.u))
+    picard(problem, bump_init(problem, n=101), max_iter=3)
+
+
+@pytest.mark.parametrize("make", [
+    lambda p, third: _with_kernel(p, "exp(-t*s)", "-s*exp(-t*s)"),
+    lambda p, third: _with_kernel(third.problem, "exp(-t*s)", "-s*exp(-t*s)"),
+], ids=["exp", "exp_green"])
 def test_other_kernels_keep_the_dense_weights(make, sign_changing, third_order, monkeypatch):
     problem = make(sign_changing.problem, third_order)
     built = []
@@ -362,14 +407,25 @@ def test_other_kernels_keep_the_dense_weights(make, sign_changing, third_order, 
                         lambda *a: built.append(a) or _discretize.__wrapped__(*a))
     image = linear_image(problem, np.ones(101), np.ones(101), n=101)
     assert built == [(problem, 101)] and np.all(np.isfinite(image.u))
+    assert _piecewise(problem, 101) is None
 
 
-def test_factored_build_at_2001_nodes_needs_under_2_mb(sign_changing):
-    _factored.__wrapped__(sign_changing.problem, 101)  # first-call compiles
+def _build_peak(problem, n: int) -> int:
+    """Peak traced bytes of one piecewise weight build, its outputs included."""
+    _piecewise.__wrapped__(problem, 101)  # first-call compiles
     tracemalloc.start()
     try:
-        weights = _factored.__wrapped__(sign_changing.problem, 2001)
+        weights = _piecewise.__wrapped__(problem, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert weights is not None and peak < 2_000_000
+    assert weights is not None
+    return peak
+
+
+def test_factored_build_at_2001_nodes_needs_under_2_mb(sign_changing):
+    assert _build_peak(sign_changing.problem, 2001) < 2_000_000
+
+
+def test_green_build_at_4001_nodes_needs_under_2_mb(third_order):
+    assert _build_peak(third_order.problem, 4001) < 2_000_000
