@@ -652,13 +652,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         loaded = load_problem(args.file)
         code, doc = _COMMANDS[args.command](loaded, args)
+        doc["problem"] = args.file
+        doc["schema"] = 1
+        _emit(doc, args)  # an unwritable --out is one error line too
     except (OSError, ValueError, ArithmeticError, RuntimeError, ExprError,
             QuadratureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    doc["problem"] = args.file
-    doc["schema"] = 1
-    _emit(doc, args)
     return code
 
 

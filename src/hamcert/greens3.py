@@ -137,7 +137,11 @@ def build_kernel(params: GreenParams) -> KernelSpec:
         t = np.asarray(t, dtype=float)
         return np.stack([np.full_like(t, eta), t], axis=-1)
 
-    return KernelSpec(k, dk, breakpoints, params)
+    def pieces():
+        return (tuple(lambda s, q=q: s ** q for q in (0.0, 1.0, 2.0)),
+                partial(branch_bounds, eta), *branch_coefficients(alpha, eta))
+
+    return KernelSpec(k, dk, breakpoints, params, pieces)
 
 
 def envelope_constant_c(params: GreenParams) -> float:

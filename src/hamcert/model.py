@@ -32,6 +32,12 @@ HINT_VARS = ("rho1", "rho2")
 
 VIOLATION_TOL = 1e-9
 
+# Highest degree in t of a closed-form kernel with pieces.  On [0, 1] the monomial
+# coefficients of a degree-3 polynomial can reach those of T_3(2t - 1) = 32t^3 - 48t^2
+# + 18t - 1, whose magnitudes sum to 99 (577 at degree 4), so the solver's apply loses
+# at most about 100 ulps of sup_t |k(t, s)|.
+_T_DEGREE = 3
+
 
 class ConeVariant(Enum):
     SIGN_CHANGING = "sign_changing"
@@ -47,16 +53,18 @@ class KernelSpec:
     may lose smoothness (repeats and points outside (0, 1) are ignored).
     ``green`` holds the Green family's parameters, or None for a closed-form
     kernel, whose sign changes in s must be located numerically when |k| is
-    integrated.  ``expressions`` holds a closed-form kernel's (k, dk/dt)
-    trees, from which the solver reads a kernel polynomial in t as one piece;
-    the Green family carries None.
+    integrated.  ``pieces()``, called when the solver builds weights, gives
+    (basis, bounds, k, dk) with k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s
+    in [lo_b(t), hi_b(t)], (lo, hi) = bounds(t) two (pieces, len(t)) arrays, and
+    dk/dt the same with dk; or None when k is not made of such pieces.  A basis
+    function gets read-only nodes and must return a new array.
     """
 
     k: Callable
     dk_dt: Callable
     breakpoints: Callable[[np.ndarray], np.ndarray]
     green: GreenParams | None
-    expressions: tuple[Expr, Expr] | None = field(default=None, compare=False)
+    pieces: Callable[[], tuple | None]
 
     @staticmethod
     def from_expressions(k_expr: Expr, dk_expr: Expr) -> "KernelSpec":
@@ -66,7 +74,16 @@ class KernelSpec:
         def dk(t, s):
             return exprlang.evaluate(dk_expr, {"t": t, "s": s})
 
-        return KernelSpec(k, dk, lambda t: np.empty(np.shape(t) + (0,)), None, (k_expr, dk_expr))
+        def pieces():
+            kt, dkt = (exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in (k_expr, dk_expr))
+            if kt is None or dkt is None:
+                return None
+            size = len(kt + dkt)
+            return (tuple(map(function_of_s, kt + dkt)),
+                    lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))),
+                    np.eye(len(kt), size)[None], np.eye(len(dkt), size, len(kt))[None])
+
+        return KernelSpec(k, dk, lambda t: np.empty(np.shape(t) + (0,)), None, pieces)
 
 
 @dataclass(frozen=True)

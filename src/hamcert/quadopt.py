@@ -74,6 +74,8 @@ BLOCK_VALUES = 1 << 16
 # Most points one scan axis (or one boundary-problem grid) may have.
 MAX_AXIS_POINTS = 1 << 22
 
+SCAN_POINTS = 256  # uniform points per row of sign_change_roots' scan
+
 
 class QuadratureFailure(Exception):
     """Subdivision cap reached or a panel not finite; carries the best value."""
@@ -393,19 +395,18 @@ def sign_change_roots(
     ts,
     lo: float,
     hi: float,
-    n_scan: int = 256,
     xtol: float = 1e-14,
 ) -> list[tuple[float, ...]]:
     """Interior roots in s of fn(t, s) on [lo, hi] for each t in ``ts``, by scan plus bisection.
 
-    ``fn`` is called as in integrate_rows, first on a (rows, ``n_scan``) grid
+    ``fn`` is called as in integrate_rows, first on a (rows, SCAN_POINTS) grid
     of uniform points.  Each sign change is refined by bisection, all rows at
     once, until the row's widest bracket is at most ``xtol`` or a bracket's
     midpoint is one of its ends.  Roots the scan steps over are not found.
     """
     ts = np.asarray(ts, dtype=float)
-    xs = np.linspace(lo, hi, n_scan)
-    ys = _evaluate(fn, ts[:, None], np.broadcast_to(xs, (len(ts), n_scan)))
+    xs = np.linspace(lo, hi, SCAN_POINTS)
+    ys = _evaluate(fn, ts[:, None], np.broadcast_to(xs, (len(ts), SCAN_POINTS)))
     zero_row, zero = np.nonzero(ys[:, 1:-1] == 0.0)
     row, flips = np.nonzero(ys[:, :-1] * ys[:, 1:] < 0.0)
     a, b, fa = xs[flips], xs[flips + 1], ys[row, flips]

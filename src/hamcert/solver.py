@@ -4,12 +4,11 @@ State is a GridPair: nodal values of (u, u', v, v') on the uniform grid
 linspace(0, 1, n).  The nonlinearity is evaluated at the n nodes only, and its
 linear interpolant is integrated exactly against k*g by composite Gauss-7 sums
 over panels split at the grid nodes and the kernel breakpoints (Atkinson, The
-Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4).  A
-kernel made of pieces sum_p t^p c_p(s), on s-intervals bounded by 0, t, its
-breakpoints and 1 (a Green kernel, or a closed-form kernel of degree at most 3
-in t), is applied in O(n) by prefix sums of the hat moments of c_p*g along the
-panels; any other kernel by n x n weights.  The last problem's weights are kept
-for reuse.  u' is iterated through the derivative kernel, not by differencing u.
+Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4).  When
+every kernel's pieces() gives pieces sum_p t^p c_p(s) on s-intervals bounded by
+functions of t, the operator is applied in O(n) by prefix sums of the hat moments
+of c_p*g along the panels; else by n x n weights.  The last problem's weights are
+kept for reuse.  u' is iterated through the derivative kernel, not by differencing u.
 """
 
 from __future__ import annotations
@@ -20,18 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import exprlang, greens3, quadopt
-from .model import ConeVariant, KernelSpec, SystemProblem, function_of_s, nonlinearity
+from . import quadopt
+from .model import ConeVariant, SystemProblem, function_of_s, nonlinearity
 
 # Most grid nodes a solve accepts.  It binds only the dense path, whose four n x n
 # float64 matrices (_discretize) then take about 0.5 GB; the piecewise apply is O(n).
 MAX_NODES = 4001
 
-# Highest degree in t of a closed-form kernel applied piecewise.  On [0, 1] the monomial
-# coefficients of a degree-3 polynomial can reach those of T_3(2t - 1) = 32t^3 - 48t^2
-# + 18t - 1, whose magnitudes sum to 99 (577 at degree 4), so the apply loses
-# at most about 100 ulps of sup_t |k(t, s)|.
-_T_DEGREE = 3
+BLOWUP = 1e12  # picard raises Divergence once an iterate's norm exceeds it
+CONE_TOL = 1e-9  # cone_membership passes a check whose slack is at least -CONE_TOL
 
 _FIELDS = ("u", "du", "v", "dv")  # the nodal arrays of a GridPair
 
@@ -114,7 +110,7 @@ class _Weights(NamedTuple):
 
 
 class _Piecewise(NamedTuple):
-    """Weights of a kernel's _pieces: v[i, p] = t_i^p; left/right[j, r] the moments of basis_r*g
+    """Weights of a kernel's pieces(): v[i, p] = t_i^p; left/right[j, r] the moments of basis_r*g
     on panel j against the hats of nodes cell[j], cell[j] + 1; lo/hi[b, i] piece b's edges."""
     v: np.ndarray
     coef: np.ndarray
@@ -130,25 +126,6 @@ class _Piecewise(NamedTuple):
                   out=prefix[1:])
         span = np.take(prefix, self.hi, axis=0) - np.take(prefix, self.lo, axis=0)
         return np.einsum("ip,ip->i", self.v, np.tensordot(span, self.coef, ([0, 2], [0, 2])))
-
-
-def _pieces(kernel: KernelSpec):
-    """(basis, bounds, k, dk): k = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in [lo_b(t), hi_b(t)],
-    (lo, hi) = bounds(t), and dk/dt the same with dk.  Green kernels have four branches over
-    1, s, s^2; closed-form kernels polynomial in t (degree <= _T_DEGREE) one piece over their
-    coefficients of t^p; other kernels None."""
-    if kernel.green is not None:
-        return (tuple(lambda s, q=q: s ** q for q in (0.0, 1.0, 2.0)),
-                functools.partial(greens3.branch_bounds, kernel.green.eta),
-                *greens3.branch_coefficients(kernel.green.alpha, kernel.green.eta))
-    k, dk = ([exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in kernel.expressions]
-             if kernel.expressions else (None, None))
-    if k is None or dk is None:
-        return None
-    size = len(k + dk)
-    return (tuple(map(function_of_s, k + dk)),
-            lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))),
-            np.eye(len(k), size)[None], np.eye(len(dk), size, len(k))[None])
 
 
 def _panels(problem: SystemProblem, n: int):
@@ -169,6 +146,7 @@ def _panels(problem: SystemProblem, n: int):
     cell = np.clip(np.searchsorted(grid, s[:, 0], side="right") - 1, 0, n - 2)
     frac = (s - grid[cell, None]) / (grid[cell + 1] - grid[cell])[:, None]
     s = s.ravel()
+    s.flags.writeable = False  # shared by every component's basis functions and weight
 
     def gw(comp) -> np.ndarray:
         return function_of_s(comp.weight)(s).reshape(frac.shape) * (half[:, None] * gl_w[None, :])
@@ -229,14 +207,14 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
 @functools.lru_cache(maxsize=1)
 def _piecewise(problem: SystemProblem, n: int):
     """The (k, dk/dt) _Piecewise weights of every component on _discretize's panels, when every
-    kernel has _pieces; else None."""
-    pieces = [_pieces(comp.kernel) for comp in problem.components]
+    kernel has pieces(); else None."""
+    pieces = [comp.kernel.pieces() for comp in problem.components]
     if None in pieces:
         return None
     grid, edges, cell, s, frac, gw = _panels(problem, n)
     # t_i and eta are edges, or within 1e-12 of the edge _panels kept: round to the nearest
     mid = 0.5 * (edges[:-1] + edges[1:])
-    v = np.vander(grid, _T_DEGREE + 1, increasing=True)
+    v = np.vander(grid, max(c.shape[1] for piece in pieces for c in piece[2:]), increasing=True)
 
     def moments(fn, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals = fn(s).reshape(frac.shape)  # one basis function at a time bounds the memory
@@ -279,7 +257,6 @@ def picard(
     theta: float = 1.0,
     tol: float = 1e-10,
     max_iter: int = 200,
-    blowup: float = 1e12,
 ) -> SolutionResult:
     """Damped Picard iteration x <- (1-theta) x + theta T(x).
 
@@ -299,10 +276,8 @@ def picard(
     for iteration in range(1, max_iter + 1):
         tx = apply_T(problem, x)
         residual = _sup_distance(tx, x)
-        if max(v for v in tx.norms().values()) > blowup:
-            raise Divergence(
-                f"iterate norm exceeded {blowup:.1e} at iteration {iteration}"
-            )
+        if max(v for v in tx.norms().values()) > BLOWUP:
+            raise Divergence(f"iterate norm exceeded {BLOWUP:.1e} at iteration {iteration}")
         if residual > prev_residual and halvings < 6:
             theta *= 0.5
             halvings += 1
@@ -330,11 +305,7 @@ def derivative_consistency(p: GridPair) -> float:
     return worst
 
 
-def cone_membership(
-    p: GridPair,
-    problem: SystemProblem,
-    tolerance: float = 1e-9,
-) -> ConeReport:
+def cone_membership(p: GridPair, problem: SystemProblem) -> ConeReport:
     """Check the cone inequalities of both components at the grid nodes."""
     checks: list[ConeCheck] = []
     variant = problem.variant
@@ -350,19 +321,19 @@ def cone_membership(
         min_gd = float(np.min(dw[in_gd])) if np.any(in_gd) else np.inf
         checks.append(
             ConeCheck(f"min {label} on [a,b] >= c*||{label}||", min_ab - env.c * norms[0],
-                      min_ab - env.c * norms[0] >= -tolerance)
+                      min_ab - env.c * norms[0] >= -CONE_TOL)
         )
         checks.append(
             ConeCheck(f"min {label}' on [gamma,delta] >= d*||{label}'||",
-                      min_gd - env.d * norms[1], min_gd - env.d * norms[1] >= -tolerance)
+                      min_gd - env.d * norms[1], min_gd - env.d * norms[1] >= -CONE_TOL)
         )
         if variant in (ConeVariant.NON_NEGATIVE, ConeVariant.NON_NEGATIVE_NON_DECREASING):
             low = float(np.min(w))
-            checks.append(ConeCheck(f"{label} >= 0", low, low >= -tolerance))
+            checks.append(ConeCheck(f"{label} >= 0", low, low >= -CONE_TOL))
         if variant is ConeVariant.NON_NEGATIVE_NON_DECREASING:
             low = float(np.min(dw))
-            checks.append(ConeCheck(f"{label}' >= 0", low, low >= -tolerance))
-    return ConeReport(tuple(checks), all(c.passed for c in checks), tolerance)
+            checks.append(ConeCheck(f"{label}' >= 0", low, low >= -CONE_TOL))
+    return ConeReport(tuple(checks), all(c.passed for c in checks), CONE_TOL)
 
 
 def localization_check(

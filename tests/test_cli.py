@@ -286,6 +286,15 @@ def test_missing_file_exits_one(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_unwritable_report_path_exits_one_with_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["constants", bundled_path("sign_changing.prob"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "m1" in captured.out  # the table was printed before the write failed
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(out) in captured.err and not out.exists()
+
+
 def test_parse_error_exits_one(tmp_path, sign_text, capsys):
     path = _write(tmp_path, sign_text.replace("schema = 1", "schema = 3", 1))
     assert main(["certify", path]) == 1

@@ -333,6 +333,26 @@ def _cubic(problem):
     return problem
 
 
+def _hand_built(second=np.copy) -> KernelSpec:
+    """k = t^2 s(1 - s) + t s, neither Green nor an expression: one piece over the basis
+    (s(1 - s), second), where second(s) is s."""
+    k, dk = np.zeros((1, 3, 2)), np.zeros((1, 2, 2))
+    k[0, 2, 0] = k[0, 1, 1] = dk[0, 0, 1] = 1.0
+    dk[0, 1, 0] = 2.0
+
+    def pieces():
+        return ((lambda s: s * (1.0 - s), second),
+                lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))), k, dk)
+
+    return KernelSpec(lambda t, s: t**2 * s * (1.0 - s) + t * s,
+                      lambda t, s: 2.0 * t * s * (1.0 - s) + s,
+                      lambda t: np.empty(np.shape(t) + (0,)), None, pieces)
+
+
+def _with_spec(problem, spec: KernelSpec):
+    return dataclasses.replace(problem, comp1=dataclasses.replace(problem.comp1, kernel=spec))
+
+
 def _green(problem, alpha: float, eta: float):
     kernel = greens3.build_kernel(greens3.GreenParams(alpha, eta))
     comps = (dataclasses.replace(c, kernel=kernel) for c in problem.components)
@@ -352,7 +372,8 @@ def _assert_applies_as_dense(problem, n: int) -> None:
 
 
 @pytest.mark.parametrize("n", [101, 401])
-@pytest.mark.parametrize("make", [lambda p: p, _cubic], ids=["sign_changing", "cubic"])
+@pytest.mark.parametrize("make", [lambda p: p, _cubic, lambda p: _with_spec(p, _hand_built())],
+                         ids=["sign_changing", "cubic", "hand_built"])
 def test_factored_weights_apply_as_the_dense_weights(n, make, sign_changing):
     _assert_applies_as_dense(make(sign_changing.problem), n)
 
@@ -375,6 +396,27 @@ def test_mixed_green_and_polynomial_weights_apply_as_the_dense_weights(sign_chan
                                                                        third_order):
     mixed = dataclasses.replace(sign_changing.problem, comp2=third_order.problem.comp2)
     _assert_applies_as_dense(mixed, 401)
+
+
+def test_a_basis_function_that_returns_its_nodes_is_refused(sign_changing):
+    problem = _with_spec(sign_changing.problem, _hand_built(lambda s: s))
+    with pytest.raises(ValueError, match="read-only"):  # else it would rescale the nodes
+        _piecewise.__wrapped__(problem, 101)
+
+
+def test_other_pieces_make_another_kernel_with_its_own_weights(sign_changing):
+    kernel = _hand_built()
+    basis, bounds, k, dk = kernel.pieces()
+    doubled = dataclasses.replace(kernel, pieces=lambda: (basis, bounds, 2.0 * k, 2.0 * dk))
+    assert doubled != kernel and dataclasses.replace(kernel) == kernel
+    problem = _with_spec(sign_changing.problem, kernel)
+    first = _piecewise(problem, 101)
+    assert _piecewise(_with_spec(problem, dataclasses.replace(kernel)), 101) is first
+    second = _piecewise(_with_spec(problem, doubled), 101)
+    f = np.random.default_rng(5).standard_normal(101)
+    for op, op2 in zip(first[0], second[0]):
+        assert np.array_equal(op2 @ f, 2.0 * (op @ f))
+    assert second[1][0] is not first[1][0]
 
 
 def test_polynomial_kernels_build_no_dense_weights(sign_changing, monkeypatch):

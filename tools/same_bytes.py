@@ -11,9 +11,9 @@ and every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
 is imported without writing bytecode; nothing under ``perfbench/`` changes).
 Exit code, stdout, stderr and the JSON report must match byte for byte.
-Prints each run that differs, and for a JSON report that differs the numeric
-leaves that moved (path, value at REF, value here and the relative change, at
-most 10 per report); exits 1 if any run differs, else 0.
+Prints each run that differs, and for a JSON report that differs every numeric
+leaf that moved (path, value at REF, value here and the relative change); exits
+1 if any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ def run(tree: Path, report: Path, argv: list[str]) -> tuple:
     return done.returncode, done.stdout, done.stderr, report.read_bytes() if report.exists() else None
 
 
-def moved_numbers(ref: bytes, here: bytes, limit: int = 10) -> list[str]:
-    """One line per numeric JSON leaf that differs between two reports, at most ``limit``."""
+def moved_numbers(ref: bytes, here: bytes) -> list[str]:
+    """One line per numeric JSON leaf that differs between two reports."""
     lines: list[str] = []
 
     def walk(a, b, path: str) -> None:
@@ -67,8 +67,7 @@ def moved_numbers(ref: bytes, here: bytes, limit: int = 10) -> list[str]:
         walk(json.loads(ref), json.loads(here), "")
     except ValueError:  # not JSON: the byte comparison has said all there is
         return []
-    more = len(lines) - limit
-    return lines[:limit] + ([f"    ... and {more} more"] if more > 0 else [])
+    return lines
 
 
 def workload_runs(out_dir: Path) -> list[list[str]]:
