@@ -25,6 +25,7 @@ from .quadopt import BLOCK_VALUES, MAX_AXIS_POINTS, integrate, integrate_rows
 
 
 ODE_TOL = 1e-10  # verify_bvp's bound on |w - w_exact|: 100x integrate_rows' absolute tol
+BC_TOL = 1e-8  # verify_bvp's bound on each boundary residual
 
 
 class ParamError(ValueError):
@@ -101,25 +102,9 @@ def branch_bounds(eta: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.stack([below, at_eta, above, np.ones_like(t)]))
 
 
-def _single_branch(eta: float, t: np.ndarray, s: np.ndarray) -> int | None:
-    """Index of the branch that _select_branch picks for every (t, s) pair, if there is one."""
-    if not (t.size and s.size):
-        return None
-    first, last, t0 = s.item(0), s.item(-1), t.item(0)
-    if (first <= eta) != (last <= eta) or (first <= t0) != (last <= t0):
-        return None  # s straddles the seam s = eta or s = t0: no single branch
-    s_lo, s_hi, t_lo, t_hi = s.min(), s.max(), t.min(), t.max()
-    if (s_hi <= eta or eta < s_lo) and (s_hi <= t_lo or t_hi < s_lo):
-        return int(2 * (eta < s_lo) + (t_lo < s_hi))  # which side of eta, then of t
-    return None
-
-
 def _select_branch(branches, eta: float, t, s):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    only = _single_branch(eta, t, s)
-    if only is not None:
-        return np.asarray(branches[only](t, s))  # an array even for 0-d input, as np.where
     b1, b2, b3, b4 = [b(t, s) for b in branches]
     return np.where(s <= np.minimum(eta, t), b1, np.where(
         (t <= s) & (s <= eta), b2, np.where((eta <= s) & (s <= t), b3, b4)))
@@ -248,13 +233,8 @@ def check_bvp_grid(n_grid: int) -> None:
         raise ValueError(f"n_grid must be between 101 and {MAX_AXIS_POINTS}")
 
 
-def verify_bvp(
-    params: GreenParams,
-    h: Expr,
-    n_grid: int = 2001,
-    ode_tol: float = ODE_TOL,
-    bc_tol: float = 1e-8,
-) -> ResidualReport:
+def verify_bvp(params: GreenParams, h: Expr, n_grid: int = 2001,
+               ode_tol: float = ODE_TOL) -> ResidualReport:
     """Check that w(t) = int k(t,s) h(s) ds solves the boundary problem.
 
     The ODE residual is the largest |w - w_exact| over a uniform grid, w_exact
@@ -299,9 +279,9 @@ def verify_bvp(
             f"ODE residual {ode_residual:.3e} exceeds {ode_tol:.1e} at t={worst_node!r}",
             worst_node,
         )
-    if max(bc0, bc0p, bc3) > bc_tol:
+    if max(bc0, bc0p, bc3) > BC_TOL:
         raise ResidualTooLarge(
-            f"boundary residuals ({bc0:.3e}, {bc0p:.3e}, {bc3:.3e}) exceed {bc_tol:.1e}",
+            f"boundary residuals ({bc0:.3e}, {bc0p:.3e}, {bc3:.3e}) exceed {BC_TOL:.1e}",
             0.0,
         )
     return report

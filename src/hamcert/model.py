@@ -239,10 +239,10 @@ def verify_A3(comp: Component, n_t: int = 200, n_s: int = 200) -> AssumptionRepo
     )
 
 
-def verify_A4(comp: Component, tol: float = 1e-12) -> AssumptionReport:
+def verify_A4(comp: Component) -> AssumptionReport:
     """Check that the two envelope window integrals are strictly positive."""
     env = comp.envelope
-    r1, r2 = window_integrals(env, comp.weight, tol)
+    r1, r2 = window_integrals(env, comp.weight)
     items = (
         CheckItem("int_a^b phi*g > 0", -r1.value, (env.a, env.b), r1.value > r1.error_bound),
         CheckItem(
@@ -258,14 +258,12 @@ def verify_A4(comp: Component, tol: float = 1e-12) -> AssumptionReport:
     )
 
 
-def window_integrals(
-    env: Envelope, weight: Expr, tol: float = 1e-12
-) -> tuple[QuadResult, QuadResult]:
+def window_integrals(env: Envelope, weight: Expr) -> tuple[QuadResult, QuadResult]:
     """The pair (int_a^b phi*g, int_gamma^delta psi*g) with error bounds."""
     phi, psi, g = (function_of_s(expr) for expr in (env.phi, env.psi, weight))
     return (
-        integrate(lambda s: phi(s) * g(s), env.a, env.b, tol=tol),
-        integrate(lambda s: psi(s) * g(s), env.gamma, env.delta, tol=tol),
+        integrate(lambda s: phi(s) * g(s), env.a, env.b),
+        integrate(lambda s: psi(s) * g(s), env.gamma, env.delta),
     )
 
 
@@ -285,12 +283,11 @@ def verify_nonneg_f(
     )
 
 
-def check_kernel_derivative(
-    spec: KernelSpec, n_t: int = 40, n_s: int = 40, step: float = 1e-5
-) -> AssumptionReport:
-    """Central-difference consistency of dk/dt against k, away from kinks."""
-    ts = np.linspace(step, 1.0 - step, n_t)
-    ss = np.linspace(0.0, 1.0, n_s)
+def check_kernel_derivative(spec: KernelSpec) -> AssumptionReport:
+    """Central-difference consistency of dk/dt against k on a 40 x 40 grid, away from kinks."""
+    step = 1e-5
+    ts = np.linspace(step, 1.0 - step, 40)
+    ss = np.linspace(0.0, 1.0, 40)
     bps = spec.breakpoints(ts)[:, None, :]
     checked = (np.abs(ss[None, :, None] - bps) > 10 * step).all(axis=2)
     fd = (_grid_eval(spec.k, ts + step, ss) - _grid_eval(spec.k, ts - step, ss)) / (2 * step)

@@ -271,25 +271,21 @@ def extremize(
     lo: float,
     hi: float,
     mode: str = "max",
-    n_seed: int = 129,
-    tol: float = 1e-10,
 ) -> ExtremumResult:
     """Locate an extremum on [lo, hi] of ``fn``, which maps an array of abscissas to values.
 
-    Seeds ``n_seed`` uniform points (endpoints included) in one call, then
+    Seeds 129 uniform points (endpoints included) in one call, then
     refines the best bracketing triple by golden-section search down to
-    interval width ``tol``, one point per call.  Ties prefer the smallest
+    interval width 1e-10, one point per call.  Ties prefer the smallest
     abscissa; the result is never worse than the best seed.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', got {mode!r}")
     if not lo < hi:
         raise ValueError(f"bad search interval [{lo}, {hi}]")
-    if n_seed < 3:
-        raise ValueError("n_seed must be at least 3")
 
     sign = 1.0 if mode == "max" else -1.0
-    xs = np.linspace(lo, hi, n_seed)
+    xs = np.linspace(lo, hi, 129)
     samples = 0
 
     def g(x: np.ndarray) -> np.ndarray:
@@ -302,11 +298,11 @@ def extremize(
     best_x, best_y = float(xs[best_i]), float(ys[best_i])
 
     a = float(xs[max(best_i - 1, 0)])
-    b = float(xs[min(best_i + 1, n_seed - 1)])
+    b = float(xs[min(best_i + 1, len(xs) - 1)])
     c = a + (1.0 - _INV_PHI) * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = g(np.array([c, d])).tolist()
-    while b - a > tol:
+    while b - a > 1e-10:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = a + (1.0 - _INV_PHI) * (b - a)

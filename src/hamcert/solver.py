@@ -173,31 +173,25 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     Entry (i, j) is the integral of k(t_i, s) g(s) against the hat function
     of node j, so K @ f integrates the linear interpolant of nodal f exactly
     against k*g.  The integrals are composite Gauss-7 sums over panels split
-    at the grid nodes and the kernel breakpoints.  A row block (at most BLOCK_VALUES
-    values, or one row) fills one reused buffer in column segments split at the
-    breakpoints of its first and last rows, one branch of a piecewise kernel each
-    off the diagonal, and is contracted with the hat weights of every panel.
+    at the grid nodes and the kernel breakpoints.  A row block fills one reused buffer with
+    kern(t, s) over all of s and is contracted with the hat weights of every panel; it holds at
+    most BLOCK_VALUES / 4 values (or one row), as a Green kernel holds its four branches at once.
     """
     grid, _, cell, s, frac, gw = _panels(problem, n)
     starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel
-    rows = max(1, quadopt.BLOCK_VALUES // len(s))
+    rows = max(1, quadopt.BLOCK_VALUES // (4 * len(s)))
     buf = np.empty((rows, len(s)))
     matrices = []
     for comp in problem.components:
         g = gw(comp)
         hat = (g * (1.0 - frac), g * frac)
-        bps_at = comp.kernel.breakpoints
         pair = []
         for kern in (comp.kernel.k, comp.kernel.dk_dt):
             out = np.empty((n, n))
             for r in range(0, n, rows):
                 t = grid[r:r + rows, None]
-                vals = buf[:len(t)]
-                seams = np.searchsorted(s, bps_at(t[[0, -1], 0]).ravel())
-                cuts = np.unique(np.r_[0, seams, len(s)])
-                for a, b in zip(cuts[:-1], cuts[1:]):
-                    vals[:, a:b] = kern(t, s[a:b])
-                out[r:r + rows] = _hat_sums(vals, hat, starts)
+                buf[:len(t)] = kern(t, s)
+                out[r:r + rows] = _hat_sums(buf[:len(t)], hat, starts)
             out.flags.writeable = False
             pair.append(out)
         matrices.append(tuple(pair))
@@ -305,8 +299,15 @@ def derivative_consistency(p: GridPair) -> float:
     return worst
 
 
+def _window_min(grid: np.ndarray, w: np.ndarray, lo: float, hi: float) -> float:
+    """Least nodal w in [lo, hi]; with no node there, its linear interpolant's exact minimum."""
+    inside = (grid >= lo - 1e-15) & (grid <= hi + 1e-15)
+    return float(np.min(w[inside] if np.any(inside) else np.interp([lo, hi], grid, w)))
+
+
 def cone_membership(p: GridPair, problem: SystemProblem) -> ConeReport:
-    """Check the cone inequalities of both components at the grid nodes."""
+    """Check the cone inequalities of both components at the grid nodes, or at a window's
+    ends when no node lies in it."""
     checks: list[ConeCheck] = []
     variant = problem.variant
     for label, comp, w, dw in (
@@ -315,10 +316,8 @@ def cone_membership(p: GridPair, problem: SystemProblem) -> ConeReport:
     ):
         env = comp.envelope
         norms = (float(np.max(np.abs(w))), float(np.max(np.abs(dw))))
-        in_ab = (p.grid >= env.a - 1e-15) & (p.grid <= env.b + 1e-15)
-        in_gd = (p.grid >= env.gamma - 1e-15) & (p.grid <= env.delta + 1e-15)
-        min_ab = float(np.min(w[in_ab])) if np.any(in_ab) else np.inf
-        min_gd = float(np.min(dw[in_gd])) if np.any(in_gd) else np.inf
+        min_ab = _window_min(p.grid, w, env.a, env.b)
+        min_gd = _window_min(p.grid, dw, env.gamma, env.delta)
         checks.append(
             ConeCheck(f"min {label} on [a,b] >= c*||{label}||", min_ab - env.c * norms[0],
                       min_ab - env.c * norms[0] >= -CONE_TOL)

@@ -102,7 +102,7 @@ def test_branch_bounds_cover_the_unit_interval_once(params):
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-def test_single_branch_evaluation_matches_select_bit_for_bit(params):
+def test_kernel_evaluation_matches_select_bit_for_bit(params):
     alpha, eta = params.alpha, params.eta
     kern = build_kernel(params)
     rng = np.random.default_rng(3)
@@ -114,28 +114,25 @@ def test_single_branch_evaluation_matches_select_bit_for_bit(params):
     def above(v):
         return np.nextafter(v, 2.0)
 
-    # (branch, t, s): every pair in that branch, seams s = t and s = eta included;
-    # None marks sets whose pairs span two branches, so np.select must decide
+    # (t, s): pairs inside one branch or spanning several, seams s = t and s = eta included
     cases = [
-        (0, draw(eta, 1, eta, 1.0), draw(0, eta, 0.0, eta)),
-        (0, draw(x, 1, x), draw(0, x, x)),
-        (1, draw(0, x, 0.0, x), draw(above(x), eta, above(x), eta)),
-        (2, draw(y, 1, y, 1.0), draw(above(eta), y, above(eta), y)),
-        (3, draw(0, y, 0.0, y), draw(above(y), 1, above(y), 1.0)),
-        (None, draw(0, 1, eta), draw(0, 1, eta)),
-        (None, draw(x, 1), draw(0, eta, 1.0, 0.0)),  # s straddles eta inside, not at its ends
-        (None, draw(0, 1, 0.0), draw(0, x, x)),
+        (draw(eta, 1, eta, 1.0), draw(0, eta, 0.0, eta)),
+        (draw(x, 1, x), draw(0, x, x)),
+        (draw(0, x, 0.0, x), draw(above(x), eta, above(x), eta)),
+        (draw(y, 1, y, 1.0), draw(above(eta), y, above(eta), y)),
+        (draw(0, y, 0.0, y), draw(above(y), 1, above(y), 1.0)),
+        (draw(0, 1, eta), draw(0, 1, eta)),
+        (draw(x, 1), draw(0, eta, 1.0, 0.0)),  # s straddles eta inside, not at its ends
+        (draw(0, 1, 0.0), draw(0, x, x)),
         # one pair on a seam that np.select gives to the neighbouring branch
-        (None, draw(0, x, x), draw(x, eta, x, eta)),
-        (None, draw(y, 1, y), draw(eta, y, eta, y)),
-        (None, draw(y, 1, y), draw(above(eta), y, above(eta), above(y))),
-        (None, draw(0, y, y), draw(y, 1, y, 1.0)),
+        (draw(0, x, x), draw(x, eta, x, eta)),
+        (draw(y, 1, y), draw(eta, y, eta, y)),
+        (draw(y, 1, y), draw(above(eta), y, above(eta), above(y))),
+        (draw(0, y, y), draw(y, 1, y, 1.0)),
     ]
-    for branch, t, s in cases:
+    for t, s in cases:
         t0, s0 = np.array(t[0]), np.array(s[0])
         for tt, ss in ((t[:, None], s[None, :]), (t0, s), (t0, s0)):
-            if tt.ndim == 2:
-                assert greens3._single_branch(eta, tt, ss) == branch
             for value, pieces in (
                 (kern.k, greens3._kernel_branches(alpha, eta)),
                 (kern.dk_dt, greens3._derivative_branches(alpha, eta)),

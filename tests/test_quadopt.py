@@ -84,7 +84,7 @@ def test_extremize_never_worse_than_seed_grid():
 
     seeds = np.linspace(0.0, 1.0, 129)
     best_seed = max(fn(x) for x in seeds)
-    res = extremize(fn, 0.0, 1.0, mode="max", n_seed=129)
+    res = extremize(fn, 0.0, 1.0, mode="max")
     assert res.value >= best_seed - 1e-12
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -146,11 +147,16 @@ def test_row_blocks_do_not_change_the_weights(block, third_order, monkeypatch):
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
-def test_weight_build_memory_is_bounded_by_the_row_block(third_order):
-    _discretize.__wrapped__(third_order.problem, 101)  # first-call imports
+@pytest.mark.parametrize("kernel", ["third_order", "exp"])
+def test_weight_build_memory_is_bounded_by_the_row_block(kernel, third_order):
+    problem = third_order.problem  # two Green kernels, or exp(-t*s) on both components
+    if kernel == "exp":
+        for index in (0, 1):
+            problem = _with_kernel(problem, "exp(-t*s)", "-s*exp(-t*s)", index=index)
+    _discretize.__wrapped__(problem, 101)  # first-call imports
     tracemalloc.start()
     try:
-        weights = _discretize.__wrapped__(third_order.problem, 401)
+        weights = _discretize.__wrapped__(problem, 401)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -269,6 +275,19 @@ def test_window_dip_violates_the_cone(sign_changing):
     assert any("min u on [a,b]" in c.name for c in failing)
     worst = min(c.slack for c in failing)
     assert worst == pytest.approx(-env.c, rel=1e-12)
+
+
+def test_window_between_two_nodes_is_checked_at_its_ends(sign_changing):
+    grid = np.linspace(0.0, 1.0, 401)  # nodes 0.1 and 0.1025 enclose [gamma, delta]
+    comp = sign_changing.problem.comp1
+    env = dataclasses.replace(comp.envelope, gamma=0.1001, delta=0.1002)
+    problem = dataclasses.replace(sign_changing.problem,
+                                  comp1=dataclasses.replace(comp, envelope=env))
+    p = GridPair(grid, np.ones(401), 1.0 - grid, np.ones(401), np.zeros(401))
+    report = cone_membership(p, problem)
+    check = next(c for c in report.checks if c.name.startswith("min u' on [gamma,delta]"))
+    assert check.slack == pytest.approx(np.interp(0.1002, grid, 1.0 - grid) - env.d, rel=1e-12)
+    json.dumps(dataclasses.asdict(report), allow_nan=False)  # no Infinity in the report
 
 
 def test_sign_constraints_only_for_nonneg_variants(sign_changing, third_order):

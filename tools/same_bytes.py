@@ -7,9 +7,12 @@ read), then runs ``python -m hamcert.cli CMD FILE --no-meta --out F`` in both
 trees, each from its own root with its own ``src`` on PYTHONPATH.
 The runs are the six commands on both bundled problems, plus
 ``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``,
-and every job of the benchmark workloads at seed 1, whose problem files
+every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
-is imported without writing bytecode; nothing under ``perfbench/`` changes).
+is imported without writing bytecode; nothing under ``perfbench/`` changes),
+and ``solve`` and ``solve --grid 201`` on a problem derived from
+``sign_changing.prob`` whose exp(-t*s) kernel has no pieces, so that the
+dense n x n weights are built (exits 1 if a substitution does not match once).
 Exit code, stdout, stderr and the JSON report must match byte for byte.
 Prints each run that differs, and for a JSON report that differs every numeric
 leaf that moved (path, value at REF, value here and the relative change); exits
@@ -35,6 +38,13 @@ RUNS = [
     ["certify", "--hints", "ignore"],
     ["certify", "--grid", "33"],
     ["solve", "--grid", "201"],
+]
+# sign_changing.prob with exp(-t*s) beside a Green kernel, started from a small bump
+DENSE_EDITS = [
+    ("kernel = s*(7/8*t - t^2)\nkernel_dt = s*(7/8 - 2*t)\n",
+     "kernel = exp(-t*s)\nkernel_dt = -s*exp(-t*s)\n"),
+    ("kernel = s*(11/10*t - t^2 - 1/10)\nkernel_dt = s*(11/10 - 2*t)\n", "kernel = green(2, 1/3)\n"),
+    ("init = zero\n", "init = bump\nscale = 1/100\n"),
 ]
 
 
@@ -81,6 +91,18 @@ def workload_runs(out_dir: Path) -> list[list[str]]:
             for job in workloads.generate(name, 1, out_dir / name)]
 
 
+def dense_runs(out_dir: Path) -> list[list[str]]:
+    """``solve`` at the file's n and at 201 on the dense-path problem written into out_dir."""
+    text = (ROOT / "src/hamcert/problems" / PROBLEMS[0]).read_text()
+    for old, new in DENSE_EDITS:
+        if text.count(old) != 1:
+            raise SystemExit(f"{PROBLEMS[0]}: {old!r} does not occur exactly once")
+        text = text.replace(old, new)
+    path = out_dir / "dense.prob"
+    path.write_text(text)
+    return [["solve", str(path)], ["solve", str(path), "--grid", "201"]]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: python tools/same_bytes.py REF", file=sys.stderr)
@@ -96,6 +118,7 @@ def main(argv: list[str]) -> int:
         report = Path(tmp) / "report.json"
         runs = [[extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
                 for prob in PROBLEMS for extra in RUNS] + workload_runs(Path(tmp) / "workloads")
+        runs += dense_runs(Path(tmp))
         differ = 0
         for argv_run in runs:
             a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
