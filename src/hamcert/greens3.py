@@ -12,7 +12,7 @@ dk/dt is squeezed between d*psi and psi there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -95,38 +95,36 @@ def branch_coefficients(alpha: float, eta: float) -> tuple[np.ndarray, np.ndarra
     return c, np.arange(1.0, 3.0)[:, None] * c[:, 1:]
 
 
-def branch_bounds(eta: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each branch's s-interval [lo, hi] on rows t, two 4 x len(t) arrays; empty off its rows."""
-    below, above, at_eta = np.minimum(t, eta), np.maximum(t, eta), np.full_like(t, eta)
-    return (np.stack([np.zeros_like(t), below, at_eta, above]),
-            np.stack([below, at_eta, above, np.ones_like(t)]))
+def branch_ends(eta: float, t) -> np.ndarray:
+    """The ends 0, min(t, eta), eta, max(t, eta), 1 of the branches' s-intervals, on a new first
+    axis: branch b (as in _kernel_branches) spans [ends[b], ends[b + 1]], empty off its rows."""
+    t = np.asarray(t, dtype=float)
+    return np.array([np.zeros_like(t), np.minimum(t, eta), np.full_like(t, eta),
+                     np.maximum(t, eta), np.ones_like(t)])
 
 
 def _select_branch(branches, eta: float, t, s):
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     b1, b2, b3, b4 = [b(t, s) for b in branches]
-    return np.where(s <= np.minimum(eta, t), b1, np.where(
-        (t <= s) & (s <= eta), b2, np.where((eta <= s) & (s <= t), b3, b4)))
+    return np.where(s <= np.minimum(t, eta), b1,
+                    np.where(s <= eta, b2, np.where(s <= np.maximum(t, eta), b3, b4)))
 
 
 def build_kernel(params: GreenParams) -> KernelSpec:
-    """Kernel spec for the family, its one k and dk/dt evaluator; s-breakpoints at s = t, eta."""
+    """Kernel spec for the family, its one k and dk/dt evaluator; its pieces meet at s = t, eta."""
     alpha, eta = params.alpha, params.eta
     k, dk = (
         partial(_select_branch, branches(alpha, eta), eta)
         for branches in (_kernel_branches, _derivative_branches)
     )
 
-    def breakpoints(t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        return np.stack([np.full_like(t, eta), t], axis=-1)
-
+    @cache
     def pieces():
         return (tuple(lambda s, q=q: s ** q for q in (0.0, 1.0, 2.0)),
-                partial(branch_bounds, eta), *branch_coefficients(alpha, eta))
+                partial(branch_ends, eta), *branch_coefficients(alpha, eta))
 
-    return KernelSpec(k, dk, breakpoints, params, pieces)
+    return KernelSpec(k, dk, params, pieces)
 
 
 def envelope_constant_c(params: GreenParams) -> float:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -47,24 +48,25 @@ class ConeVariant(Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel k(t,s) with its t-derivative and declared s-breakpoints.
+    """Kernel k(t,s) with its t-derivative, the Green family's parameters and its pieces.
 
-    ``breakpoints(t)`` gives, along a new last axis, abscissas where k(t, .)
-    may lose smoothness (repeats and points outside (0, 1) are ignored).
-    ``green`` holds the Green family's parameters, or None for a closed-form
-    kernel, whose sign changes in s must be located numerically when |k| is
-    integrated.  ``pieces()``, called when the solver builds weights, gives
-    (basis, bounds, k, dk) with k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s
-    in [lo_b(t), hi_b(t)], (lo, hi) = bounds(t) two (pieces, len(t)) arrays, and
-    dk/dt the same with dk; or None when k is not made of such pieces.  A basis
-    function gets read-only nodes and must return a new array.
+    ``green`` is None for a closed-form kernel, whose sign changes in s must be located when
+    |k| is integrated.  ``pieces()``, built on first use and kept, gives (basis, ends, k, dk):
+    k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in [ends(t)[b], ends(t)[b + 1]], ends(t)
+    of shape (pieces + 1,) + shape(t), dk/dt the same with dk; or None if k has no such pieces.
+    A basis function gets read-only nodes and must return a new array.
     """
 
     k: Callable
     dk_dt: Callable
-    breakpoints: Callable[[np.ndarray], np.ndarray]
     green: GreenParams | None
     pieces: Callable[[], tuple | None]
+
+    def breakpoints(self, t) -> np.ndarray:
+        """Where k(t, .)'s pieces meet (repeats possible), along a new last axis."""
+        pieces = self.pieces()
+        ends = np.empty((2,) + np.shape(t)) if pieces is None else pieces[1](t)  # None: no seams
+        return ends[1:-1].transpose(*range(1, ends.ndim), 0)  # np.moveaxis costs 3 us more
 
     @staticmethod
     def from_expressions(k_expr: Expr, dk_expr: Expr) -> "KernelSpec":
@@ -74,16 +76,17 @@ class KernelSpec:
         def dk(t, s):
             return exprlang.evaluate(dk_expr, {"t": t, "s": s})
 
+        @cache
         def pieces():
             kt, dkt = (exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in (k_expr, dk_expr))
             if kt is None or dkt is None:
                 return None
             size = len(kt + dkt)
             return (tuple(map(function_of_s, kt + dkt)),
-                    lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))),
+                    lambda t: np.array([np.zeros(np.shape(t)), np.ones(np.shape(t))]),
                     np.eye(len(kt), size)[None], np.eye(len(dkt), size, len(kt))[None])
 
-        return KernelSpec(k, dk, lambda t: np.empty(np.shape(t) + (0,)), None, pieces)
+        return KernelSpec(k, dk, None, pieces)
 
 
 @dataclass(frozen=True)

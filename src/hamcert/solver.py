@@ -5,7 +5,7 @@ linspace(0, 1, n).  The nonlinearity is evaluated at the n nodes only, and its
 linear interpolant is integrated exactly against k*g by composite Gauss-7 sums
 over panels split at the grid nodes and the kernel breakpoints (Atkinson, The
 Numerical Solution of Integral Equations of the Second Kind, 1997, ch. 4).  When
-every kernel's pieces() gives pieces sum_p t^p c_p(s) on s-intervals bounded by
+every kernel's pieces() gives pieces sum_p t^p c_p(s) on s-intervals whose ends are
 functions of t, the operator is applied in O(n) by prefix sums of the hat moments
 of c_p*g along the panels; else by n x n weights.  The last problem's weights are
 kept for reuse.  u' is iterated through the derivative kernel, not by differencing u.
@@ -111,20 +111,19 @@ class _Weights(NamedTuple):
 
 class _Piecewise(NamedTuple):
     """Weights of a kernel's pieces(): v[i, p] = t_i^p; left/right[j, r] the moments of basis_r*g
-    on panel j against the hats of nodes cell[j], cell[j] + 1; lo/hi[b, i] piece b's edges."""
+    on panel j against the hats of nodes cell[j], cell[j] + 1; ends[b:b + 2, i] piece b's edges."""
     v: np.ndarray
     coef: np.ndarray
     cell: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
+    ends: np.ndarray
 
     def __matmul__(self, f: np.ndarray) -> np.ndarray:
         prefix = np.zeros((len(self.cell) + 1, self.left.shape[1]))  # integrals up to each edge
         np.cumsum(self.left * f[self.cell, None] + self.right * f[self.cell + 1, None], axis=0,
                   out=prefix[1:])
-        span = np.take(prefix, self.hi, axis=0) - np.take(prefix, self.lo, axis=0)
+        span = np.diff(np.take(prefix, self.ends, axis=0), axis=0)  # over each row's pieces
         return np.einsum("ip,ip->i", self.v, np.tensordot(span, self.coef, ([0, 2], [0, 2])))
 
 
@@ -216,11 +215,11 @@ def _piecewise(problem: SystemProblem, n: int):
         right = np.einsum("pq,pq->p", vals, frac)
         return vals.sum(axis=1) - right, right
 
-    def weights(comp, basis, bounds, k, dk) -> tuple[_Piecewise, _Piecewise]:
-        lo, hi = (np.searchsorted(mid, x).astype(np.int32) for x in bounds(grid))  # half size
+    def weights(comp, basis, ends, k, dk) -> tuple[_Piecewise, _Piecewise]:
+        at = np.searchsorted(mid, ends(grid)).astype(np.int32)  # half size
         g = gw(comp)
         left, right = (np.stack(m, axis=1) for m in zip(*(moments(fn, g) for fn in basis)))
-        return tuple(_Piecewise(v[:, :c.shape[1]], c, cell, left, right, lo, hi) for c in (k, dk))
+        return tuple(_Piecewise(v[:, :c.shape[1]], c, cell, left, right, at) for c in (k, dk))
 
     return tuple(weights(comp, *piece) for comp, piece in zip(problem.components, pieces))
 

@@ -7,13 +7,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hamcert import constants, exprlang
+from hamcert import constants, exprlang, solver
+from hamcert.cli import load_problem
 from hamcert.constants import (
     DegenerateConstant,
     compute_component,
     compute_table,
 )
-from hamcert.model import WEIGHT_VARS
+from hamcert.model import WEIGHT_VARS, KernelSpec
+
+from conftest import bundled_path
 
 # (field, exact reciprocal) for the sign-changing example
 SIGN_EXPECTED = {
@@ -171,3 +174,22 @@ def test_each_constant_asks_for_its_seeds_in_one_call(sign_changing, monkeypatch
     assert set(sizes) - {129} == {1, 2}  # golden-section points
     assert scans.count(129) == 2  # |k| and |dk/dt| for m and m*
     assert found.m.extremal_integral == pytest.approx(49 / 512, rel=1e-9)
+
+
+def test_expression_pieces_are_built_once_per_kernel(monkeypatch):
+    counts = {"coefficients": 0, "breakpoints": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(exprlang, "polynomial_coefficients",
+                        counted("coefficients", exprlang.polynomial_coefficients))
+    monkeypatch.setattr(KernelSpec, "breakpoints", counted("breakpoints", KernelSpec.breakpoints))
+    problem = load_problem(bundled_path("sign_changing.prob")).problem  # kernels not yet asked
+    compute_table(problem)
+    solver.picard(problem, solver.bump_init(problem, 101), max_iter=3)
+    assert counts["breakpoints"] > 100
+    assert counts["coefficients"] == 4  # k and dk/dt of each of the two expression kernels

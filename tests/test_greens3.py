@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import exprlang, greens3, quadopt
+from hamcert import exprlang, greens3, quadopt, solver
 from hamcert.greens3 import (
     GreenParams,
     ParamError,
@@ -89,16 +89,33 @@ def test_branch_coefficients_reproduce_the_branches(params):
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_branch_bounds_cover_the_unit_interval_once(params):
     t = np.unique(np.r_[np.linspace(0.0, 1.0, 41), params.eta])
-    lo, hi = greens3.branch_bounds(params.eta, t)
-    assert lo.shape == hi.shape == (4, len(t)) and np.all(lo <= hi)
-    assert np.array_equal(lo[0], np.zeros_like(t)) and np.array_equal(hi[-1], np.ones_like(t))
-    assert np.array_equal(hi[:-1], lo[1:])  # consecutive branches meet
+    ends = greens3.branch_ends(params.eta, t)
+    assert ends.shape == (5, len(t)) and np.all(ends[:-1] <= ends[1:])
+    assert np.array_equal(ends[0], np.zeros_like(t)) and np.array_equal(ends[-1], np.ones_like(t))
     kern = greens3._kernel_branches(params.alpha, params.eta)
-    for b, (a, z) in enumerate(zip(lo, hi)):  # _select_branch picks branch b inside its interval
+    for b, (a, z) in enumerate(zip(ends[:-1], ends[1:])):  # _select_branch picks b inside
         inside = z - a > 1e-9
         mid = 0.5 * (a + z)[inside]
         picked = greens3._select_branch(kern, params.eta, t[inside], mid)
         assert np.array_equal(picked, kern[b](t[inside], mid))
+
+
+@pytest.mark.parametrize("params", PARAM_SETS)
+def test_breakpoints_are_where_the_pieces_meet(params, third_order):
+    eta, grid = params.eta, np.linspace(0.0, 1.0, 101)
+    t = np.unique(np.r_[0.0, eta, 1.0, grid])
+    kern = build_kernel(params)
+    bps = kern.breakpoints(t)
+    assert bps.shape == (len(t), 3)
+    assert all(set(row) == {ti, eta} for ti, row in zip(t.tolist(), bps.tolist()))
+    ends = kern.pieces()[1](t)
+    for b in range(1, len(ends) - 1):  # every interior end of every piece is a breakpoint
+        assert np.all((bps == ends[b][:, None]).any(axis=1))
+    # so the solver's panel edges hold every piece end of every grid row, up to its merging
+    problem = dataclasses.replace(third_order.problem, comp1=dataclasses.replace(
+        third_order.problem.comp1, kernel=kern))
+    edges = solver._panels(problem, len(grid))[1]
+    assert np.max(np.abs(kern.pieces()[1](grid)[..., None] - edges).min(axis=-1)) <= 1e-12
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)

@@ -197,3 +197,30 @@ def test_kernel_derivative_grid_matches_row_by_row_check(green):
     assert (item.worst_violation, item.location) == (worst, where)
     assert check_kernel_derivative(spec).note == f"{checked} samples, step 1e-05"
     assert len(calls) == 2 * 3  # k twice and dk/dt once per check, not once per t
+
+
+def _kernel(name: str) -> KernelSpec:
+    if name == "green":
+        return greens3.build_kernel(greens3.GreenParams(1.5, 0.5))
+    k, dk = {"expression": ("s*(7/8*t - t^2)", "s*(7/8 - 2*t)"),
+             "exp": ("exp(-t*s)", "-s*exp(-t*s)")}[name]
+    return KernelSpec.from_expressions(*(exprlang.parse(x, KERNEL_VARS) for x in (k, dk)))
+
+
+@pytest.mark.parametrize("t", [0.25, np.array(0.25), np.linspace(0.0, 1.0, 5),
+                               np.linspace(0.0, 1.0, 5)[:, None]],
+                         ids=["float", "0-d", "1-d", "column"])
+@pytest.mark.parametrize("name,seams", [("green", 3), ("expression", 0), ("exp", 0)])
+def test_piece_ends_and_breakpoints_take_any_shape_of_t(name, seams, t):
+    spec = _kernel(name)
+    pieces = spec.pieces()
+    assert (pieces is None) == (name == "exp")
+    if pieces is not None:
+        ends = pieces[1](t)
+        assert ends.shape == (len(pieces[2]) + 1,) + np.shape(t) == (seams + 2,) + np.shape(t)
+        assert np.all(ends[0] == 0.0) and np.all(ends[-1] == 1.0)
+        assert np.all(ends[:-1] <= ends[1:])  # piece b spans [ends[b], ends[b + 1]]
+    bps = spec.breakpoints(t)
+    assert bps.shape == np.shape(t) + (seams,)
+    if pieces is not None:
+        assert np.array_equal(np.moveaxis(bps, -1, 0), ends[1:-1])

@@ -361,11 +361,10 @@ def _hand_built(second=np.copy) -> KernelSpec:
 
     def pieces():
         return ((lambda s: s * (1.0 - s), second),
-                lambda t: (np.zeros((1, len(t))), np.ones((1, len(t)))), k, dk)
+                lambda t: np.array([np.zeros(np.shape(t)), np.ones(np.shape(t))]), k, dk)
 
     return KernelSpec(lambda t, s: t**2 * s * (1.0 - s) + t * s,
-                      lambda t, s: 2.0 * t * s * (1.0 - s) + s,
-                      lambda t: np.empty(np.shape(t) + (0,)), None, pieces)
+                      lambda t, s: 2.0 * t * s * (1.0 - s) + s, None, pieces)
 
 
 def _with_spec(problem, spec: KernelSpec):
@@ -425,8 +424,8 @@ def test_a_basis_function_that_returns_its_nodes_is_refused(sign_changing):
 
 def test_other_pieces_make_another_kernel_with_its_own_weights(sign_changing):
     kernel = _hand_built()
-    basis, bounds, k, dk = kernel.pieces()
-    doubled = dataclasses.replace(kernel, pieces=lambda: (basis, bounds, 2.0 * k, 2.0 * dk))
+    basis, ends, k, dk = kernel.pieces()
+    doubled = dataclasses.replace(kernel, pieces=lambda: (basis, ends, 2.0 * k, 2.0 * dk))
     assert doubled != kernel and dataclasses.replace(kernel) == kernel
     problem = _with_spec(sign_changing.problem, kernel)
     first = _piecewise(problem, 101)

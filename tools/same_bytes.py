@@ -10,13 +10,15 @@ The runs are the six commands on both bundled problems, plus
 every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
 is imported without writing bytecode; nothing under ``perfbench/`` changes),
-and ``solve`` and ``solve --grid 201`` on a problem derived from
+``solve`` and ``solve --grid 201`` on a problem derived from
 ``sign_changing.prob`` whose exp(-t*s) kernel has no pieces, so that the
-dense n x n weights are built (exits 1 if a substitution does not match once).
-Exit code, stdout, stderr and the JSON report must match byte for byte.
-Prints each run that differs, and for a JSON report that differs every numeric
-leaf that moved (path, value at REF, value here and the relative change); exits
-1 if any run differs, else 0.
+dense n x n weights are built, and ``constants`` and ``solve`` on one whose
+t*exp(s) kernel is one piece over a basis that is not polynomial in s (exits 1
+if a substitution does not match exactly once).  Exit code, stdout, stderr and
+the JSON report must match byte for byte.  Prints each run that differs, and
+for a JSON report that differs every numeric leaf that moved (path, value at
+REF, value here and the relative change), then the ``wc -l`` total of
+``src/hamcert/*.py`` in both trees; exits 1 if any run differs, else 0.
 """
 
 from __future__ import annotations
@@ -44,6 +46,12 @@ DENSE_EDITS = [
     ("kernel = s*(7/8*t - t^2)\nkernel_dt = s*(7/8 - 2*t)\n",
      "kernel = exp(-t*s)\nkernel_dt = -s*exp(-t*s)\n"),
     ("kernel = s*(11/10*t - t^2 - 1/10)\nkernel_dt = s*(11/10 - 2*t)\n", "kernel = green(2, 1/3)\n"),
+    ("init = zero\n", "init = bump\nscale = 1/100\n"),
+]
+# sign_changing.prob with component 1 polynomial in t over the coefficient exp(s), from a bump
+TREE_EDITS = [
+    ("kernel = s*(7/8*t - t^2)\nkernel_dt = s*(7/8 - 2*t)\n",
+     "kernel = t*exp(s)\nkernel_dt = exp(s)\n"),
     ("init = zero\n", "init = bump\nscale = 1/100\n"),
 ]
 
@@ -91,16 +99,30 @@ def workload_runs(out_dir: Path) -> list[list[str]]:
             for job in workloads.generate(name, 1, out_dir / name)]
 
 
-def dense_runs(out_dir: Path) -> list[list[str]]:
-    """``solve`` at the file's n and at 201 on the dense-path problem written into out_dir."""
+def derived(out_dir: Path, name: str, edits: list[tuple[str, str]]) -> str:
+    """The path of ``sign_changing.prob`` with ``edits`` applied, written into out_dir."""
     text = (ROOT / "src/hamcert/problems" / PROBLEMS[0]).read_text()
-    for old, new in DENSE_EDITS:
+    for old, new in edits:
         if text.count(old) != 1:
             raise SystemExit(f"{PROBLEMS[0]}: {old!r} does not occur exactly once")
         text = text.replace(old, new)
-    path = out_dir / "dense.prob"
+    path = out_dir / name
     path.write_text(text)
-    return [["solve", str(path)], ["solve", str(path), "--grid", "201"]]
+    return str(path)
+
+
+def derived_runs(out_dir: Path) -> list[list[str]]:
+    """``solve`` at the file's n and at 201 on the dense-path problem, and ``constants`` and
+    ``solve`` on the tree-basis problem."""
+    dense = derived(out_dir, "dense.prob", DENSE_EDITS)
+    tree = derived(out_dir, "tree.prob", TREE_EDITS)
+    return [["solve", dense], ["solve", dense, "--grid", "201"],
+            ["constants", tree], ["solve", tree]]
+
+
+def source_lines(tree: Path) -> int:
+    """``wc -l src/hamcert/*.py`` in ``tree``: the total count of newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/hamcert").glob("*.py"))
 
 
 def main(argv: list[str]) -> int:
@@ -118,7 +140,7 @@ def main(argv: list[str]) -> int:
         report = Path(tmp) / "report.json"
         runs = [[extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
                 for prob in PROBLEMS for extra in RUNS] + workload_runs(Path(tmp) / "workloads")
-        runs += dense_runs(Path(tmp))
+        runs += derived_runs(Path(tmp))
         differ = 0
         for argv_run in runs:
             a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
@@ -130,6 +152,8 @@ def main(argv: list[str]) -> int:
                     for line in moved_numbers(a[3], b[3]):
                         print(line)
         print(f"{differ} of {len(runs)} runs differ from {argv[0]}")
+        print(f"wc -l src/hamcert/*.py: {source_lines(ref)} at {argv[0]}, "
+              f"{source_lines(ROOT)} here")
     return 1 if differ else 0
 
 
