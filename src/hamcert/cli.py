@@ -539,7 +539,7 @@ def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
         params = comp.kernel.green
         if params is None:
             continue
-        report = greens3.check_kernel_properties(params)
+        report = greens3.check_kernel_properties(comp)
         _print_reports([report])
         entry = {
             "component": i + 1,

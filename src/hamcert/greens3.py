@@ -19,7 +19,8 @@ import numpy as np
 from . import exprlang
 from .exprlang import Expr
 from .model import (
-    ENVELOPE_VARS, AssumptionReport, CheckItem, Envelope, KernelSpec, _worst, function_of_s,
+    ENVELOPE_VARS, AssumptionReport, CheckItem, Component, Envelope, KernelSpec, _worst,
+    function_of_s, verify_A3,
 )
 from .quadopt import BLOCK_VALUES, MAX_AXIS_POINTS, integrate, integrate_rows
 
@@ -155,11 +156,11 @@ def default_envelope(params: GreenParams) -> Envelope:
     )
 
 
-def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionReport:
-    """Sampled branch gluing, positivity and envelope bounds for the family."""
+def check_kernel_properties(comp: Component, n: int = 200) -> AssumptionReport:
+    """Sampled branch gluing, signs and three-point identity of a Green component's kernel, with
+    verify_A3's items for its declared envelope."""
+    params, env, kern = comp.kernel.green, comp.envelope, comp.kernel
     alpha, eta = params.alpha, params.eta
-    env = default_envelope(params)
-    kern = build_kernel(params)
     ts = np.linspace(0.0, 1.0, n)
     ss = np.linspace(0.0, 1.0, n)
 
@@ -181,44 +182,33 @@ def check_kernel_properties(params: GreenParams, n: int = 200) -> AssumptionRepo
             (above[2], above[3]),        # s = t with t >= eta
         ):
             jump = max(jump, float(np.max(np.abs(right - left))))
-    items = [
-        CheckItem("branch gluing is continuous", jump - 1e-10, (0.0, 0.0), jump <= 1e-10)
-    ]
 
     k_sq = kern.k(ts[:, None], ss[None, :])
     dk_sq = kern.dk_dt(ts[:, None], ss[None, :])
-    phi = function_of_s(env.phi)(ss)
-    psi = function_of_s(env.psi)(ss)
-
-    items.append(_worst(-k_sq, ts, ss, "k >= 0 on [0,1]^2"))
-    items.append(_worst(k_sq - phi[None, :], ts, ss, "k <= phi on [0,1]^2"))
-    items.append(_worst(-dk_sq, ts, ss, "dk/dt >= 0 on [0,1]^2"))
-    items.append(_worst(dk_sq - psi[None, :], ts, ss, "dk/dt <= psi on [0,1]^2"))
-
-    ts_strip = np.linspace(env.a, env.b, n)
-    k_strip = kern.k(ts_strip[:, None], ss[None, :])
-    dk_strip = kern.dk_dt(ts_strip[:, None], ss[None, :])
-    items.append(_worst(env.c * phi[None, :] - k_strip, ts_strip, ss, "k >= c*phi on the strip"))
-    items.append(_worst(env.d * psi[None, :] - dk_strip, ts_strip, ss, "dk/dt >= d*psi on the strip"))
-
     # slope condition transferred to the derivative kernel at the endpoints
-    s_bc = np.linspace(0.0, 1.0, n)
-    bc_gap = float(np.max(np.abs(kern.dk_dt(1.0, s_bc) - alpha * kern.dk_dt(eta, s_bc))))
-    items.append(
-        CheckItem("dk/dt(1,s) = alpha*dk/dt(eta,s)", bc_gap - 1e-10, (1.0, 0.0), bc_gap <= 1e-10)
-    )
+    bc_gap = float(np.max(np.abs(kern.dk_dt(1.0, ss) - alpha * kern.dk_dt(eta, ss))))
+    items = [
+        CheckItem("branch gluing is continuous", jump - 1e-10, (0.0, 0.0), jump <= 1e-10),
+        _worst(-k_sq, ts, ss, "k >= 0 on [0,1]^2"),
+        _worst(-dk_sq, ts, ss, "dk/dt >= 0 on [0,1]^2"),
+        *verify_A3(comp, n, n).items,
+        CheckItem("dk/dt(1,s) = alpha*dk/dt(eta,s)", bc_gap - 1e-10, (1.0, 0.0), bc_gap <= 1e-10),
+    ]
 
+    phi = function_of_s(env.phi)(ss)
+    k_strip = kern.k(np.linspace(env.a, env.b, n)[:, None], ss[None, :])
     ratio = np.min(np.where(phi[None, :] > 0, k_strip / np.maximum(phi[None, :], 1e-300), np.inf))
     # the valid derivative fraction is of Harnack type: dk(t,.) against the
     # pointwise-in-s maximum of dk over all rows, not against psi itself
     col_max = np.max(dk_sq, axis=0)
+    dk_strip = kern.dk_dt(np.linspace(env.gamma, env.delta, n)[:, None], ss[None, :])
     harnack = np.min(
         np.where(col_max > 0, dk_strip / np.maximum(col_max[None, :], 1e-300), np.inf)
     )
     note = (
-        f"sampled on {n}x{n} grids; observed min k/phi on the strip is {float(ratio)!r} "
-        f"vs formula constant c = {env.c!r}; observed min of dk over its row-max on the "
-        f"strip is {float(harnack)!r} (eta/alpha = {eta / alpha!r}) vs declared d = {env.d!r}"
+        f"sampled on {n}x{n} grids; observed min k/phi on [a,b] is {float(ratio)!r} "
+        f"vs declared c = {env.c!r}; observed min of dk over its row-max on [gamma,delta] "
+        f"is {float(harnack)!r} (eta/alpha = {eta / alpha!r}) vs declared d = {env.d!r}"
     )
     return AssumptionReport(
         "green kernel properties", tuple(items), all(it.passed for it in items), note=note

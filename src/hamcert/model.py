@@ -208,8 +208,8 @@ def verify_A3(comp: Component, n_t: int = 200, n_s: int = 200) -> AssumptionRepo
     """Sample the four envelope inequalities for one component.
 
     Checks |k| <= phi and |dk/dt| <= psi on the unit square, k >= c*phi on
-    [a,b] x [0,1] and dk/dt >= d*psi on [gamma,delta] x [0,1].  PASS means
-    the worst sampled violation is at most 1e-9.
+    the strip [a,b] x [0,1] and dk/dt >= d*psi on the strip [gamma,delta] x [0,1].
+    PASS means the worst sampled violation is at most 1e-9.
     """
     env = comp.envelope
     ts = np.linspace(0.0, 1.0, n_t)
@@ -226,13 +226,11 @@ def verify_A3(comp: Component, n_t: int = 200, n_s: int = 200) -> AssumptionRepo
 
     ts_ab = np.linspace(env.a, env.b, n_t)
     k_strip = _grid_eval(comp.kernel.k, ts_ab, ss)
-    items.append(_worst(env.c * phi[None, :] - k_strip, ts_ab, ss, "k >= c*phi on [a,b]x[0,1]"))
+    items.append(_worst(env.c * phi[None, :] - k_strip, ts_ab, ss, "k >= c*phi on the strip"))
 
     ts_gd = np.linspace(env.gamma, env.delta, n_t)
     dk_strip = _grid_eval(comp.kernel.dk_dt, ts_gd, ss)
-    items.append(
-        _worst(env.d * psi[None, :] - dk_strip, ts_gd, ss, "dk/dt >= d*psi on [gamma,delta]x[0,1]")
-    )
+    items.append(_worst(env.d * psi[None, :] - dk_strip, ts_gd, ss, "dk/dt >= d*psi on the strip"))
 
     return AssumptionReport(
         "envelope inequalities",

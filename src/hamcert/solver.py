@@ -172,14 +172,13 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     Entry (i, j) is the integral of k(t_i, s) g(s) against the hat function
     of node j, so K @ f integrates the linear interpolant of nodal f exactly
     against k*g.  The integrals are composite Gauss-7 sums over panels split
-    at the grid nodes and the kernel breakpoints.  A row block fills one reused buffer with
-    kern(t, s) over all of s and is contracted with the hat weights of every panel; it holds at
-    most BLOCK_VALUES / 4 values (or one row), as a Green kernel holds its four branches at once.
+    at the grid nodes and the kernel breakpoints.  A row block is one kern(t, s) call over all
+    of s, contracted with the hat weights of every panel; it holds at most BLOCK_VALUES / 4
+    values (or one row), as a Green kernel holds its four branches at once.
     """
     grid, _, cell, s, frac, gw = _panels(problem, n)
     starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel
     rows = max(1, quadopt.BLOCK_VALUES // (4 * len(s)))
-    buf = np.empty((rows, len(s)))
     matrices = []
     for comp in problem.components:
         g = gw(comp)
@@ -189,8 +188,8 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
             out = np.empty((n, n))
             for r in range(0, n, rows):
                 t = grid[r:r + rows, None]
-                buf[:len(t)] = kern(t, s)
-                out[r:r + rows] = _hat_sums(buf[:len(t)], hat, starts)
+                vals = np.broadcast_to(kern(t, s), (len(t), len(s)))  # k may ignore t
+                out[r:r + rows] = _hat_sums(vals, hat, starts)
             out.flags.writeable = False
             pair.append(out)
         matrices.append(tuple(pair))

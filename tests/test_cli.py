@@ -276,6 +276,33 @@ def test_green_check_writes_json_report(tmp_path, capsys):
     assert items["dk/dt(1,s) = alpha*dk/dt(eta,s)"]["passed"] is True
 
 
+_A3_ITEMS = ("abs(k) <= phi on [0,1]^2", "abs(dk/dt) <= psi on [0,1]^2",
+             "k >= c*phi on the strip", "dk/dt >= d*psi on the strip")
+
+
+@pytest.mark.parametrize("edit", [
+    ("c = 1/45\n", "c = 1/44\n"),  # refuted by assumptions, worst violation 2.78e-5
+    ("kernel = green(2, 1/3)\n",  # [gamma, delta] = [1/5, 3/10] is not [a, b] = [1/6, 1/3]
+     "kernel = green(2, 1/3)\npsi = 4*(1-s)\nd = 1/10\ngamma = 1/5\ndelta = 3/10\n"),
+])
+def test_green_check_and_assumptions_judge_the_declared_envelope_alike(
+        edit, third_text, tmp_path, capsys):
+    assert third_text.count(edit[0]) == 1
+    path = _write(tmp_path, third_text.replace(*edit))
+    docs = {}
+    for command in ("assumptions", "green-check"):
+        out = tmp_path / f"{command}.json"
+        main([command, path, "--no-meta", "--out", str(out)])
+        docs[command] = json.loads(out.read_text())
+    capsys.readouterr()
+    for i, comp in enumerate(docs["green-check"]["components"], start=1):
+        checked = [it for it in comp["properties"]["items"] if it["name"] in _A3_ITEMS]
+        envelope = next(r for r in docs["assumptions"]["reports"]
+                        if r["name"] == f"component {i}: envelope inequalities")
+        assert [it["name"] for it in checked] == list(_A3_ITEMS)
+        assert checked == envelope["items"]
+
+
 def test_green_check_requires_green_kernels(capsys):
     assert main(["green-check", bundled_path("sign_changing.prob")]) == 1
     assert "green" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from hamcert.greens3 import (
     envelope_constant_c,
     verify_bvp,
 )
-from hamcert.model import window_integrals
+from hamcert.model import NONLIN_VARS, WEIGHT_VARS, Component, window_integrals
 from hamcert.quadopt import integrate
 
 PARAM_SETS = [GreenParams(3 / 2, 1 / 2), GreenParams(2.0, 1 / 3), GreenParams(5 / 4, 0.7)]
@@ -28,6 +28,12 @@ PARAM_SETS = [GreenParams(3 / 2, 1 / 2), GreenParams(2.0, 1 / 3), GreenParams(5 
 
 def _h(text: str):
     return exprlang.parse(text, ("s",))
+
+
+def _component(params: GreenParams) -> Component:
+    """A Green component with the family's default envelope (weight 1, f = 0)."""
+    return Component(build_kernel(params), default_envelope(params),
+                     exprlang.parse("1", WEIGHT_VARS), exprlang.parse("0", NONLIN_VARS))
 
 
 @pytest.mark.parametrize(
@@ -162,15 +168,15 @@ def test_kernel_evaluation_matches_select_bit_for_bit(params):
 
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_kernel_property_items(params):
-    report = check_kernel_properties(params)
+    report = check_kernel_properties(_component(params))
     items = {it.name: it for it in report.items}
     assert items["branch gluing is continuous"].passed
     assert items["branch gluing is continuous"].worst_violation <= 0.0
     assert items["k >= 0 on [0,1]^2"].passed
-    assert items["k <= phi on [0,1]^2"].passed
+    assert items["abs(k) <= phi on [0,1]^2"].passed
     assert items["k >= c*phi on the strip"].passed
     assert items["dk/dt >= 0 on [0,1]^2"].passed
-    assert items["dk/dt <= psi on [0,1]^2"].passed
+    assert items["abs(dk/dt) <= psi on [0,1]^2"].passed
     assert items["dk/dt(1,s) = alpha*dk/dt(eta,s)"].passed
 
 
@@ -179,7 +185,7 @@ def test_declared_derivative_fraction_fails_at_small_s(params):
     # dk/dt(t, 0) = 0 for every t while d*psi(0) > 0, so the declared
     # lower envelope on the strip cannot hold near s = 0; the report keeps
     # the check honest and the note records the sharp observed fraction.
-    report = check_kernel_properties(params)
+    report = check_kernel_properties(_component(params))
     item = {it.name: it for it in report.items}["dk/dt >= d*psi on the strip"]
     assert not item.passed
     env = default_envelope(params)
@@ -362,11 +368,11 @@ valid_params = st.tuples(
 @given(ae=valid_params)
 def test_family_invariants_hold_across_parameters(ae):
     params = GreenParams(*ae)
-    report = check_kernel_properties(params, n=80)
+    report = check_kernel_properties(_component(params), n=80)
     items = {it.name: it for it in report.items}
     assert items["branch gluing is continuous"].passed
     assert items["k >= 0 on [0,1]^2"].passed
-    assert items["k <= phi on [0,1]^2"].passed
+    assert items["abs(k) <= phi on [0,1]^2"].passed
     assert items["k >= c*phi on the strip"].passed
     assert items["dk/dt(1,s) = alpha*dk/dt(eta,s)"].passed
     spec = build_kernel(params)

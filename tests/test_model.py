@@ -48,8 +48,8 @@ def test_envelope_certificate_holds_for_bundled_components(sign_changing):
         assert report.passed, [it for it in report.items if not it.passed]
         names = {it.name for it in report.items}
         assert "abs(k) <= phi on [0,1]^2" in names
-        assert "k >= c*phi on [a,b]x[0,1]" in names
-        assert "dk/dt >= d*psi on [gamma,delta]x[0,1]" in names
+        assert "k >= c*phi on the strip" in names
+        assert "dk/dt >= d*psi on the strip" in names
 
 
 def test_envelope_detects_overstated_window_fraction(sign_changing):

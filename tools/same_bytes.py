@@ -1,10 +1,11 @@
 """Check that the CLI gives byte-identical results at a git revision and in this checkout.
 
-    python tools/same_bytes.py REF
+    python tools/same_bytes.py REF [--rounds K]
 
 Unpacks ``git archive REF`` into a temporary directory (``.git`` is only
-read), then runs ``python -m hamcert.cli CMD FILE --no-meta --out F`` in both
-trees, each from its own root with its own ``src`` on PYTHONPATH.
+read) and copies this checkout's ``src`` beside it, then runs
+``python -m hamcert.cli CMD FILE --no-meta --out F`` in both trees, each from
+its own root with its own ``src`` on PYTHONPATH.
 The runs are the six commands on both bundled problems, plus
 ``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``,
 every job of the benchmark workloads at seed 1, whose problem files
@@ -19,17 +20,27 @@ the JSON report must match byte for byte.  Prints each run that differs, and
 for a JSON report that differs every numeric leaf that moved (path, value at
 REF, value here and the relative change), then the ``wc -l`` total of
 ``src/hamcert/*.py`` in both trees; exits 1 if any run differs, else 0.
+
+With ``--rounds K``, each run is then timed K more times in each tree, in a
+fresh process each time, REF first in every other pair.  Wall time, CPU time
+(user + system) and peak RSS come from ``os.wait4``; the tool prints each
+run's medians at REF and here, then the sum of those medians per command.
+The timings do not change the exit status.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import os
+import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,14 +67,30 @@ TREE_EDITS = [
 ]
 
 
-def run(tree: Path, report: Path, argv: list[str]) -> tuple:
-    """(exit code, stdout, stderr, report bytes) of one CLI run in ``tree``."""
+def cli(tree: Path, report: Path, argv: list[str]) -> dict:
+    """The ``subprocess`` arguments of one CLI run in ``tree`` that writes ``report``."""
     report.unlink(missing_ok=True)
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-m", "hamcert.cli", *argv, "--no-meta",
-                           "--out", str(report)], cwd=tree, env=env, capture_output=True)
+    return dict(args=[sys.executable, "-m", "hamcert.cli", *argv, "--no-meta", "--out", str(report)],
+                cwd=tree, env=env)
+
+
+def run(tree: Path, report: Path, argv: list[str]) -> tuple:
+    """(exit code, stdout, stderr, report bytes) of one CLI run in ``tree``."""
+    done = subprocess.run(**cli(tree, report, argv), capture_output=True)
     return done.returncode, done.stdout, done.stderr, report.read_bytes() if report.exists() else None
+
+
+def timed(tree: Path, report: Path, argv: list[str]) -> tuple[float, float, float]:
+    """(wall s, CPU s, peak RSS MB) of one CLI run in ``tree``, output discarded."""
+    start = time.perf_counter()
+    proc = subprocess.Popen(**cli(tree, report, argv), stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024  # ru_maxrss is in KiB
 
 
 def moved_numbers(ref: bytes, here: bytes) -> list[str]:
@@ -125,25 +152,43 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src/hamcert").glob("*.py"))
 
 
+def print_timings(runs: list[list[str]], ref_name: str, ref: list, here: list) -> None:
+    """Each run's median (wall, CPU, RSS) at REF and here, then their sums per command."""
+    def pairs(a: tuple, b: tuple) -> str:
+        return "  ".join(f"{x:8.3f} {y:8.3f}" for x, y in zip(a, b))
+
+    print(f"medians, {ref_name} then here:    wall s             CPU s        peak RSS MB")
+    for argv_run, a, b in zip(runs, ref, here):
+        print(f"  {pairs(a, b)}  {' '.join(argv_run)}")
+    print("sum of the medians per command:")
+    for command in dict.fromkeys(argv_run[0] for argv_run in runs):
+        picked = [i for i, argv_run in enumerate(runs) if argv_run[0] == command]
+        a, b = (tuple(map(sum, zip(*(meds[i] for i in picked)))) for meds in (ref, here))
+        print(f"  {pairs(a, b)}  {command} ({len(picked)} runs)")
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/same_bytes.py REF", file=sys.stderr)
-        return 1
-    archive = subprocess.run(["git", "archive", argv[0]], cwd=ROOT, capture_output=True)
+    parser = argparse.ArgumentParser(description="Compare the CLI's output at REF and here.")
+    parser.add_argument("ref", metavar="REF")
+    parser.add_argument("--rounds", type=int, default=0, metavar="K",
+                        help="then time every run K more times in each tree")
+    args = parser.parse_args(argv)
+    archive = subprocess.run(["git", "archive", args.ref], cwd=ROOT, capture_output=True)
     if archive.returncode:
         sys.stderr.write(archive.stderr.decode())
         return 1
     with tempfile.TemporaryDirectory() as tmp:
-        ref = Path(tmp) / "ref"
+        ref, here = Path(tmp) / "ref", Path(tmp) / "here"
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(ref)
+        shutil.copytree(ROOT / "src", here / "src", ignore=shutil.ignore_patterns("__pycache__"))
         report = Path(tmp) / "report.json"
         runs = [[extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
                 for prob in PROBLEMS for extra in RUNS] + workload_runs(Path(tmp) / "workloads")
         runs += derived_runs(Path(tmp))
         differ = 0
         for argv_run in runs:
-            a, b = run(ref, report, argv_run), run(ROOT, report, argv_run)
+            a, b = run(ref, report, argv_run), run(here, report, argv_run)
             parts = [p for p, x, y in zip(("exit", "stdout", "stderr", "json"), a, b) if x != y]
             if parts:
                 differ += 1
@@ -151,9 +196,18 @@ def main(argv: list[str]) -> int:
                 if "json" in parts and a[3] is not None and b[3] is not None:
                     for line in moved_numbers(a[3], b[3]):
                         print(line)
-        print(f"{differ} of {len(runs)} runs differ from {argv[0]}")
-        print(f"wc -l src/hamcert/*.py: {source_lines(ref)} at {argv[0]}, "
-              f"{source_lines(ROOT)} here")
+        print(f"{differ} of {len(runs)} runs differ from {args.ref}")
+        print(f"wc -l src/hamcert/*.py: {source_lines(ref)} at {args.ref}, "
+              f"{source_lines(here)} here")
+        if args.rounds > 0:
+            samples = {ref: [[] for _ in runs], here: [[] for _ in runs]}
+            for k in range(args.rounds):
+                for i, argv_run in enumerate(runs):
+                    for tree in (ref, here) if (k + i) % 2 == 0 else (here, ref):
+                        samples[tree][i].append(timed(tree, report, argv_run))
+            ref_meds, here_meds = ([tuple(map(statistics.median, zip(*times))) for times in per_run]
+                                   for per_run in samples.values())
+            print_timings(runs, args.ref, ref_meds, here_meds)
     return 1 if differ else 0
 
 
