@@ -7,7 +7,9 @@ solver settings.  Subcommands run the assumption checks, the constants
 table, scenario certification, non-existence sampling, the Picard solver,
 and the Green-family property suite.
 
-Exit codes: 0 holds/passed/converged, 2 fails, 3 inconclusive, 1 error.
+Exit codes: 0 holds/passed/converged, 2 fails, 3 inconclusive, 1 error, and
+141 (128 + SIGPIPE) with no error line when stdout is closed early, as by
+``| head``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 import time
@@ -655,6 +658,10 @@ def main(argv: list[str] | None = None) -> int:
         doc["problem"] = args.file
         doc["schema"] = 1
         _emit(doc, args)  # an unwritable --out is one error line too
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:  # the reader has gone: point stdout at devnull for shutdown
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError, ArithmeticError, RuntimeError, ExprError,
             QuadratureFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,9 +172,8 @@ def _bound(
     grid, which can only refute it.
     """
     mode = hint.partition("_")[0]
-    grid_raw, witness = box_extremum_with_witness(
-        nonlinearity(comp), box, mode=mode, n_per_axis=n
-    )
+    f = nonlinearity(comp)
+    grid_raw, witness = box_extremum_with_witness(f, box, mode=mode, n_per_axis=n, enclose=f)
     grid = grid_raw / rho
     hint_expr = getattr(comp.hints, hint)
     label = hint.replace("_", "-")
@@ -392,7 +391,7 @@ def _alternative(
         vals = f_fn(*args)
         return vals - slope * args[k] if positive_only else slope * np.abs(args[k]) - vals
 
-    worst, witness = grid_extremum(margin, axes, "inf")
+    worst, witness = grid_extremum(margin, axes, "inf", enclose=margin)
     samples = math.prod(len(a) for a in axes)
     return AlternativeRecord(name, worst > eps, worst, witness, samples)
 

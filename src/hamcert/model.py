@@ -274,7 +274,8 @@ def verify_nonneg_f(
     """Sample f >= 0 on [0,1] x box (box has one interval per argument slot)."""
     if len(box) != 4:
         raise ValueError("box must provide four intervals (u1, u2, v1, v2)")
-    low, point = box_extremum_with_witness(nonlinearity(comp), ((0.0, 1.0), *box), "inf", n)
+    f = nonlinearity(comp)
+    low, point = box_extremum_with_witness(f, ((0.0, 1.0), *box), "inf", n, enclose=f)
     item = CheckItem("f >= 0 on [0,1] x box", -low, point, -low <= 0.0)
     return AssumptionReport(
         "nonnegative nonlinearity",

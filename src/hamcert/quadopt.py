@@ -6,13 +6,14 @@ their kinks before the first pass.  It integrates many rows t -> int f(t,s) ds
 at once, each row exactly as on its own.  The extremum search seeds a uniform
 grid and polishes the best bracket with golden-section iteration; it never
 returns a value worse than the best seed.  Box extrema are plain tensor-grid scans
-(corners included), run block by block in bounded memory; they are
-estimates, not certified bounds.
+(corners included), run block by block in bounded memory, best-first when
+interval bounds let blocks be skipped; they are estimates, not certified bounds.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -331,24 +332,35 @@ def box_axes(box: Sequence[tuple[float, float]], n: int) -> list[np.ndarray]:
 
 
 def grid_extremum(
-    fn: Callable, axes: Sequence[np.ndarray], mode: str = "sup"
+    fn: Callable, axes: Sequence[np.ndarray], mode: str = "sup", enclose: Callable | None = None
 ) -> tuple[float, tuple[float, ...]]:
     """sup or inf of ``fn`` over the tensor grid of ``axes``, with its grid point.
 
     ``fn`` takes one broadcastable array per axis, and the shape of its
     result may depend only on the shapes of its arguments.  The grid is
-    scanned in C order, in blocks over the leading axes of at most
-    BLOCK_VALUES points, so memory does not grow with the grid.  An axis
-    ``fn`` does not read is not scanned: its first point stands for all of
-    it.  Ties resolve to the first grid point in C order.
+    scanned in blocks over the leading axes of at most BLOCK_VALUES points,
+    so memory does not grow with the grid.  An axis ``fn`` does not read is
+    not scanned: its first point stands for all of it.  Ties resolve to the
+    first grid point in C order.
+
+    ``enclose`` takes one ``interval.Interval`` per axis and must hold every
+    float value ``fn`` computes there (exprlang's compiled functions run on
+    Intervals, so hamcert passes ``fn`` itself).  It bounds every block at
+    once (``interval.block_bounds``), and the blocks are then evaluated best
+    bound first; a block whose bound cannot beat the best value so far, or
+    tie it at an earlier point, is skipped.  The value and the point are
+    those of the C-order scan, bit for bit.  Without bounds, every block is
+    evaluated in C order.
     """
     if mode not in ("sup", "inf"):
         raise ValueError(f"mode must be 'sup' or 'inf', got {mode!r}")
-    pick = np.argmax if mode == "sup" else np.argmin
+    pick, better = (np.argmax, operator.gt) if mode == "sup" else (np.argmin, operator.lt)
 
     def evaluate(block):
         return np.asarray(fn(*np.meshgrid(*block, indexing="ij", sparse=True)), dtype=float)
 
+    if enclose is not None:  # loaded here, so that runs without a box scan do not load it
+        from .interval import block_bounds
     # fn's result has length 1 along every axis it does not read
     probe = evaluate([a[:2] for a in axes]).shape
     probe = (1,) * (len(axes) - len(probe)) + probe
@@ -356,16 +368,30 @@ def grid_extremum(
     shape = tuple(len(a) for a in axes)
     split = next(k for k in range(len(shape)) if math.prod(shape[k + 1:]) <= BLOCK_VALUES)
     step = BLOCK_VALUES // math.prod(shape[split + 1:])
+    blocks = (*shape[:split], -(-shape[split] // step))  # outer index, chunk of the split axis
+    bound = None
+    if enclose is not None and math.prod(blocks) > 1:
+        bound = block_bounds(enclose, axes, split, step, mode == "sup")
+    # best bound first, C order among equal bounds; C order without bounds
+    order = range(math.prod(blocks)) if bound is None else np.argsort(
+        -bound if mode == "sup" else bound, kind="stable")
+    rest = (0,) * (len(shape) - split - 1)
     best = where = None
-    for outer in np.ndindex(*shape[:split]):
-        for lo in range(0, shape[split], step):
-            block = [a[i:i + 1] for a, i in zip(axes, outer)]
-            block += [axes[split][lo:lo + step], *axes[split + 1:]]
-            vals = np.broadcast_to(evaluate(block), tuple(len(a) for a in block))
-            idx = np.unravel_index(int(pick(vals)), vals.shape)
-            if best is None or (vals[idx] > best if mode == "sup" else vals[idx] < best):
-                best = vals[idx]
-                where = (*outer, lo + idx[split], *idx[split + 1:])
+    for b in order:
+        *outer, chunk = map(int, np.unravel_index(b, blocks))
+        lo = chunk * step
+        if bound is not None and best is not None:
+            if better(best, bound[b]):
+                break
+            if bound[b] == best and (*outer, lo, *rest) > where:
+                continue
+        block = [a[i:i + 1] for a, i in zip(axes, outer)]
+        block += [axes[split][lo:lo + step], *axes[split + 1:]]
+        vals = np.broadcast_to(evaluate(block), tuple(len(a) for a in block))
+        idx = np.unravel_index(int(pick(vals)), vals.shape)
+        value, at = vals[idx], (*outer, lo + int(idx[split]), *map(int, idx[split + 1:]))
+        if best is None or better(value, best) or (value == best and at < where):
+            best, where = value, at
     return float(best), tuple(float(a[i]) for a, i in zip(axes, where))
 
 
@@ -374,16 +400,17 @@ def box_extremum_with_witness(
     box: Sequence[tuple[float, float]],
     mode: str = "sup",
     n_per_axis: int = 17,
+    enclose: Callable | None = None,
 ) -> tuple[float, tuple[float, ...]]:
     """Tensor-grid estimate of sup or inf of ``fn`` over a box, with its grid point.
 
     ``fn`` must accept one broadcastable numpy array per axis.  All corners
     are grid points.  The value is an estimate: a lower bound of the true
-    sup, an upper bound of the true inf.
+    sup, an upper bound of the true inf.  ``enclose`` is grid_extremum's.
     """
     if n_per_axis < 2:
         raise ValueError("n_per_axis must be at least 2")
-    return grid_extremum(fn, box_axes(box, n_per_axis), mode)
+    return grid_extremum(fn, box_axes(box, n_per_axis), mode, enclose)
 
 
 def sign_change_roots(

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import hamcert
 from hamcert import conditions, exprlang, greens3, quadopt, solver
 from hamcert.cli import CheckConfig, ProblemFileError, SolverConfig, load_problem, main
 from hamcert.conditions import Scenario
@@ -550,3 +555,17 @@ def test_loading_a_bundled_problem_compiles_no_expression(name, monkeypatch):
     monkeypatch.setattr(exprlang, "_compile", lambda *a, **k: compiled.append(a) or real(*a, **k))
     load_problem(bundled_path(name))
     assert compiled == []
+
+
+def test_a_stdout_closed_early_exits_141_without_an_error_line():
+    # unbuffered, so each line is its own write; the BVP checks print long after the first
+    env = dict(os.environ, PYTHONPATH=str(Path(hamcert.__file__).parents[1]),
+               PYTHONUNBUFFERED="1")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hamcert.cli", "green-check", bundled_path("third_order.prob")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"FAIL  green kernel properties")
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait() == 141

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamcert import quadopt
+from hamcert import exprlang, interval, quadopt
+from hamcert.exprlang import FUNCTIONS, BinOp, Call, DomainError, Neg, Num, Var, parse
 from hamcert.quadopt import (
     QuadratureFailure,
     box_axes,
@@ -466,3 +467,135 @@ def test_sign_change_roots_of_many_rows(xtol):
     assert [len(r) for r in roots] == [2, 2, 1, 2]
     for t, found in zip(ts, roots):
         assert found == sign_change_roots(fn, [t], 0.0, 1.0, xtol=xtol)[0]
+
+
+# ------------------------------------------------- best-first scans with interval bounds
+
+SCAN_VARS = ("t", "x", "y")
+
+
+def _scan_grow(children):
+    def call(func):
+        args = st.lists(children, min_size=FUNCTIONS[func], max_size=FUNCTIONS[func])
+        return args.map(lambda a: Call(func, tuple(a)))
+
+    return st.one_of(children.map(Neg), st.builds(BinOp, st.sampled_from("+-*/^"), children,
+                                                  children),
+                     st.sampled_from(sorted(FUNCTIONS)).flatmap(call))
+
+
+scan_trees = st.recursive(
+    st.one_of(st.sampled_from(SCAN_VARS).map(Var), st.sampled_from([0.5, 1.0, 2.0, 3.0]).map(Num)),
+    _scan_grow,
+    max_leaves=7,
+).flatmap(lambda tree: st.sampled_from([tree, BinOp("+", tree, parse("t*x*y", SCAN_VARS))]))
+scan_axis = st.one_of(
+    st.builds(lambda lo, w, n: np.linspace(lo, lo + w, n), st.sampled_from([-2.0, 0.0, 0.25, 1.0]),
+              st.sampled_from([0.0, 0.5, 1.0, 3.0]), st.sampled_from([1, 2, 3, 5, 8])),
+    st.just(np.full(4, 0.3)),  # a zero-width axis of four equal points
+)
+
+
+def _as_scan_fn(tree):
+    return lambda *args: exprlang.evaluate(tree, dict(zip(SCAN_VARS, args)))
+
+
+def _pruned_matches_c_order(fn, axes, mode, block, point_cells=1024, call_cells=2048):
+    """grid_extremum with ``enclose=fn`` equals the scan without bounds, and the dense reference,
+    to the sign of a zero; or raises the same DomainError."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadopt, "BLOCK_VALUES", block)
+        patch.setattr(interval, "POINT_CELLS", point_cells)  # 1: about a cell per point
+        patch.setattr(interval, "CALL_CELLS", call_cells)
+        try:
+            expected = grid_extremum(fn, axes, mode)
+        except DomainError as exc:
+            with pytest.raises(DomainError) as got:
+                grid_extremum(fn, axes, mode, enclose=fn)
+            assert str(got.value) == str(exc)
+            return
+        got = grid_extremum(fn, axes, mode, enclose=fn)
+    assert got == expected == _dense_extremum(fn, axes, mode)
+    assert repr(got) == repr(expected)
+
+
+@settings(max_examples=600, deadline=None)
+@given(tree=scan_trees, axes=st.lists(scan_axis, min_size=3, max_size=3),
+       block=st.sampled_from([1, 5, 64, 1 << 16]), mode=st.sampled_from(["sup", "inf"]),
+       point_cells=st.sampled_from([1, 4, 1024]), call_cells=st.sampled_from([1, 7, 2048]))
+def test_a_pruned_scan_gives_the_c_order_value_and_point(tree, axes, block, mode, point_cells,
+                                                          call_cells):
+    _pruned_matches_c_order(_as_scan_fn(tree), axes, mode, block, point_cells, call_cells)
+
+
+@pytest.mark.parametrize("block", [1 << 14, 1 << 16])
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+@pytest.mark.parametrize("text", [
+    "t*(x^2 + y^2)*(2 - sin(x*y)) - 3*x", "x*y - y^2 + t", "(x - y)^2*t - y",
+    "sin(3*x)*cos(2*y) + t*x",
+])
+def test_blocks_cut_into_cells_at_the_shipped_budget_keep_the_c_order_result(block, mode, text):
+    # 41^3 points: 2 to 5 blocks, each cut into 3 to 5 cells per trailing axis
+    axes = [np.linspace(0.0, 1.0, 41), np.linspace(-1.0, 2.0, 41), np.linspace(0.5, 3.0, 41)]
+    _pruned_matches_c_order(_as_scan_fn(parse(text, SCAN_VARS)), axes, mode, block)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64, 1 << 16])
+@pytest.mark.parametrize("mode", ["sup", "inf"])
+@pytest.mark.parametrize("text,axes", [
+    # symmetric in x and y, as sign_changing's u1 <-> u2: ties at swapped points
+    ("t*(x^2 + y^2)*(2 - sin(x*y))", [np.linspace(0.0, 1.0, 5)] + [np.linspace(-2.0, 2.0, 9)] * 2),
+    ("(x - y)^2 + t", [np.linspace(0.0, 1.0, 3)] + [np.linspace(-1.0, 1.0, 7)] * 2),
+    # every value is a zero: -0.0 first, or 0.0 first and -0.0 later
+    ("y*(t*0)", [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 1.0, 5)]),
+    ("-y*(t*0)", [np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 1.0, 5)]),
+    ("x*y - x*y", [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 4), np.linspace(-1.0, 1.0, 5)]),
+    # zero-width axes: a pinned point and four equal points
+    ("t*x - y^2", [np.array([0.25]), np.linspace(-1.0, 1.0, 6), np.full(4, 0.3)]),
+])
+def test_a_pruned_scan_keeps_ties_signed_zeros_and_zero_width_axes(block, mode, text, axes):
+    _pruned_matches_c_order(_as_scan_fn(parse(text, SCAN_VARS)), axes, mode, block)
+
+
+@pytest.mark.parametrize("mode,text", [("sup", "5 + x*y*(1 - y)"), ("inf", "5 - x*y*(1 - y)")])
+def test_a_block_whose_bound_ties_the_best_is_evaluated_if_it_starts_earlier(mode, text):
+    # row x = 1 is bounded by 6 (or 4) and visited first, its extremum 5 at (1, 0); row x = 0
+    # is bounded by 5 exactly, and its 5 at (0, 0) comes first in C order
+    fn = _as_scan_fn(parse(text, SCAN_VARS))
+    axes = [np.array([0.0]), np.array([0.0, 1.0]), np.array([0.0, 1.0])]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadopt, "BLOCK_VALUES", 2)  # one block per row of y
+        assert grid_extremum(fn, axes, mode, enclose=fn) == (5.0, (0.0, 0.0, 0.0))
+    _pruned_matches_c_order(fn, axes, mode, 2)
+
+
+@pytest.mark.parametrize("block", [5, 64])
+def test_a_pole_in_the_grid_raises_the_c_order_scans_error(block):
+    fn = _as_scan_fn(parse("1/(x - 1/2) + t*y", SCAN_VARS))
+    axes = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 9), np.linspace(0.0, 1.0, 5)]
+    assert 0.5 in axes[1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadopt, "BLOCK_VALUES", block)
+        for mode in ("sup", "inf"):
+            with pytest.raises(DomainError) as expected:
+                grid_extremum(fn, axes, mode)
+            with pytest.raises(DomainError) as got:
+                grid_extremum(fn, axes, mode, enclose=fn)
+            assert str(got.value) == str(expected.value) == (
+                "non-finite value produced by division")
+
+
+def test_a_nonnegative_f_is_scanned_in_at_most_two_blocks():
+    # the scan_nonneg benchmark's f >= 0 check: 33^5 points in 1089 blocks of 33^3
+    tree = parse("t*(u1^2 + u2^2)*(12/5 + cos(v1*v2))", ("t", "u1", "u2", "v1", "v2"))
+    blocks = []
+
+    def fn(*args):
+        if isinstance(args[0], np.ndarray) and np.broadcast(*args).size > 2**5:  # not the probe
+            blocks.append(np.broadcast(*args).size)
+        return exprlang.evaluate(tree, dict(zip(("t", "u1", "u2", "v1", "v2"), args)))
+
+    box = [(0.0, 1.0)] + [(0.0, 10.0)] * 4
+    found = box_extremum_with_witness(fn, box, "inf", 33, enclose=fn)
+    assert len(blocks) <= 2 and sum(blocks) <= 2 * 33**3
+    assert found == (0.0, (0.0, 0.0, 0.0, 0.0, 0.0))

@@ -7,7 +7,8 @@ read) and copies this checkout's ``src`` beside it, then runs
 ``python -m hamcert.cli CMD FILE --no-meta --out F`` in both trees, each from
 its own root with its own ``src`` on PYTHONPATH.
 The runs are the six commands on both bundled problems, plus
-``certify --hints ignore``, ``certify --grid 33`` and ``solve --grid 201``,
+``certify --hints ignore``, ``certify --grid 33``, ``solve --grid 201`` and
+the scaled box scans ``nonexistence --grid 61`` and ``certify --grid 61``,
 every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
 is imported without writing bytecode; nothing under ``perfbench/`` changes),
@@ -51,6 +52,8 @@ RUNS = [
     ["certify", "--hints", "ignore"],
     ["certify", "--grid", "33"],
     ["solve", "--grid", "201"],
+    ["nonexistence", "--grid", "61"],
+    ["certify", "--grid", "61"],
 ]
 # sign_changing.prob with exp(-t*s) beside a Green kernel, started from a small bump
 DENSE_EDITS = [
