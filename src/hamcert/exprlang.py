@@ -24,13 +24,14 @@ parentheses, or nesting too deep to parse, is a syntax error.  Error offsets
 count bytes of the text as written.  A tree is compiled into a Python function
 on its first evaluation.  A DomainError names the first operation whose value
 is not finite; a non-finite variable is an error only once an operation's
-result carries it.
+result carries it.  The compiled function also runs on Intervals and Polynomials.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
@@ -262,52 +263,64 @@ def evaluate(expr: Expr, env: Mapping[str, Number]) -> Number:
     raise AssertionError(f"no error evaluating {expr!r} with every operation checked")
 
 
-def polynomial_coefficients(expr: Expr, var: str, degree: int) -> tuple[Expr, ...] | None:
-    """Trees c_0 .. c_d free of ``var`` with expr = sum of var^p * c_p and d <= degree, or None.
+class NotPolynomial(ExprError):
+    """Raised by an operation on a Polynomial whose value is no Polynomial within its cap."""
 
-    ``var`` may appear under a sign, +, -, *, a division by a tree free of it and a power
-    that is a non-negative integer literal; a zero coefficient is Num(0.0).
-    """
-    def plus(a, b, op="+"):  # a op b, None standing for a zero coefficient
-        if a is None or b is None:
-            return a if b is None else b if op == "+" else Neg(b)
-        return BinOp(op, a, b)
 
-    def product(a, b):
-        out = {}
-        for i, x in a.items():
-            for j, y in b.items():
-                out[i + j] = plus(out.get(i + j), BinOp("*", x, y))
-        return out
+class Polynomial(np.lib.mixins.NDArrayOperatorsMixin):
+    """sum_p x^p terms[p] in one variable x, of degree at most ``cap``.  A term is a number or
+    an array free of x; a missing term is a zero never computed.  A compiled function runs on
+    it unchanged; an operation with no polynomial value within ``cap`` raises NotPolynomial."""
 
-    def walk(node: Expr) -> dict | None:  # power: coefficient; {0: node} iff free of var
-        if isinstance(node, (Num, Var)):
-            return {1: Num(1.0)} if node == Var(var) else {0: node}
-        children = ((node.operand,) if isinstance(node, Neg) else node.args
-                    if isinstance(node, Call) else (node.left, node.right))
-        parts = [walk(child) for child in children]
-        if all(part == {0: child} for part, child in zip(parts, children)):
-            return {0: node}
-        if None in parts or isinstance(node, Call):
-            return None
-        if isinstance(node, Neg):
-            return {p: Neg(x) for p, x in parts[0].items()}
-        left, right = parts
-        if node.op in "+-":
-            return {p: plus(left.get(p), right.get(p), node.op) for p in left.keys() | right.keys()}
-        if node.op == "*":
-            return product(left, right)
-        if node.op == "/" and right == {0: node.right}:
-            return {p: BinOp("/", x, node.right) for p, x in left.items()}
-        power = node.right.value if node.op == "^" and isinstance(node.right, Num) else -1.0
-        if power < 0 or not power.is_integer():
-            return None
-        out = {0: Num(1.0)}
-        for _ in range(min(int(power), degree + 1)):  # the degree grows with every factor
-            out = product(out, left)
-        return out
+    __slots__ = ("terms", "cap")
 
-    coefficients = walk(expr)
-    if coefficients is None or max(coefficients) > degree:
-        return None
-    return tuple(coefficients.get(p, Num(0.0)) for p in range(max(coefficients) + 1))
+    def __init__(self, terms: dict[int, Number], cap: int):
+        if max(terms) > cap:
+            raise NotPolynomial(f"degree {max(terms)} above {cap}")
+        self.terms, self.cap = terms, cap
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _POLYNOMIAL_RULES.get(ufunc)
+        if rule is None or method != "__call__" or kwargs:
+            return NotImplemented
+        out = rule(*inputs)
+        return Polynomial(out, self.cap) if isinstance(out, dict) else out
+
+
+def _terms(x) -> dict:
+    return x.terms if isinstance(x, Polynomial) else {0: x}
+
+
+def _sum(a, b) -> dict:  # a term on one side only is that term, never 0.0 + x
+    a, b = _terms(a), _terms(b)
+    return {p: a[p] + b[p] if p in a and p in b else a.get(p, b.get(p)) for p in sorted({*a, *b})}
+
+
+def _product(a, b) -> dict:
+    out = {}
+    for i, x in _terms(a).items():
+        for j, y in _terms(b).items():
+            out[i + j] = out[i + j] + x * y if i + j in out else x * y
+    return out
+
+
+def _power(x, y) -> dict:  # y products from the term 1.0
+    if isinstance(y, Polynomial) or np.ndim(y) or not (0 <= y <= x.cap and float(y).is_integer()):
+        raise NotPolynomial("no whole power up to the degree cap")
+    return reduce(np.multiply, [x] * int(y), Polynomial({0: 1.0}, x.cap)).terms
+
+
+def _refuse(*inputs):
+    raise NotPolynomial("no polynomial")
+
+
+# a rule for every operation a compiled function performs; every function of x refuses
+_POLYNOMIAL_RULES = {
+    np.add: _sum, np.subtract: lambda a, b: _sum(a, -b),  # a + (-b) is a - b bit for bit
+    np.negative: lambda x: {p: -c for p, c in x.terms.items()}, np.multiply: _product,
+    np.power: _power, np.divide: lambda a, b: _refuse() if isinstance(b, Polynomial) else {
+        p: np.divide(c, b) for p, c in a.terms.items()},
+    np.isfinite: lambda x: np.bool_(all(np.isfinite(c).all() for c in x.terms.values())),
+    **dict.fromkeys((np.sin, np.cos, np.exp, np.absolute, np.sqrt, np.minimum, np.maximum),
+                    _refuse),
+}

@@ -25,7 +25,7 @@ from .model import (
 from .quadopt import BLOCK_VALUES, MAX_AXIS_POINTS, integrate, integrate_rows
 
 
-ODE_TOL = 1e-10  # verify_bvp's bound on |w - w_exact|: 100x integrate_rows' absolute tol
+ODE_TOL = 1e-10  # verify_bvp's bound on |w - w_exact|: 100x quadopt.QUAD_TOL
 BC_TOL = 1e-8  # verify_bvp's bound on each boundary residual
 
 

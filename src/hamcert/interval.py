@@ -35,7 +35,7 @@ POINT_CELLS = 1024
 CALL_CELLS = 2048
 
 
-class Interval:
+class Interval(np.lib.mixins.NDArrayOperatorsMixin):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi=None, poison=False):
@@ -45,26 +45,6 @@ class Interval:
         if bad.any():
             lo, hi = np.where(bad, np.nan, lo), np.where(bad, np.nan, hi)
         self.lo, self.hi = lo, hi
-
-    def __add__(self, other):
-        other = _interval(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other):
-        other = _interval(other)
-        return Interval(self.lo - other.hi, self.hi - other.lo)
-
-    def __rsub__(self, other):
-        return _interval(other) - self
-
-    def __mul__(self, other):
-        other = _interval(other)
-        return _hull(a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi))
-
-    def __neg__(self):
-        return Interval(-self.hi, -self.lo)
-
-    __radd__, __rmul__ = __add__, __mul__
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         op = _UFUNCS.get(ufunc)
@@ -86,6 +66,11 @@ def _hull(values, poison=False, widen=(0.0, 0.0)) -> Interval:
     return Interval(lo, hi, poison)
 
 
+def _multiply(a, b) -> Interval:
+    a, b = _interval(a), _interval(b)
+    return _hull(x * y for x in (a.lo, a.hi) for y in (b.lo, b.hi))
+
+
 def _divide(a, b) -> Interval:
     a, b = _interval(a), _interval(b)
     return _hull((x / y for x in (a.lo, a.hi) for y in (b.lo, b.hi)),
@@ -100,7 +85,7 @@ def _power(x, y) -> Interval:
     if isinstance(y, Interval) or np.ndim(y):
         y = _interval(y)
         out = _hull((np.power(a, b) for a in (x.lo, x.hi) for b in (y.lo, y.hi)),
-                    (x.lo <= 0.0) | np.isnan(y.lo), (_ULPS, _TINY))
+                    ~(x.lo > 0.0) | np.isnan(y.lo), (_ULPS, _TINY))  # NaN: x poisoned
         return Interval(np.maximum(out.lo, 0.0), out.hi)
     p = float(y)
     out = _hull((np.power(x.lo, p), np.power(x.hi, p)), np.isnan(x.lo), (_ULPS, _TINY))
@@ -143,23 +128,22 @@ def _sqrt(x) -> Interval:
 
 
 def _monotone(op):
-    """A binary ufunc nondecreasing in each argument (min, max) on intervals."""
+    """A binary ufunc nondecreasing in each argument (+, min, max) on intervals."""
     def apply(a, b) -> Interval:
         a, b = _interval(a), _interval(b)
         return Interval(op(a.lo, b.lo), op(a.hi, b.hi))
     return apply
 
 
-# the ufuncs exprlang's compiled functions call, and numpy's arithmetic with an
-# Interval on the right (a numpy scalar times an Interval)
+# every operation exprlang's compiled functions perform (a - b is a + (-b) bit for bit)
 _UFUNCS = {
+    np.add: _monotone(np.add), np.subtract: lambda a, b: _monotone(np.add)(a, -_interval(b)),
+    np.multiply: _multiply, np.negative: lambda x: Interval(-x.hi, -x.lo),
     np.divide: _divide, np.power: _power, np.exp: _exp,
     np.sin: _periodic(np.sin, np.pi / 2), np.cos: _periodic(np.cos, 0.0),
     np.absolute: _absolute, np.sqrt: _sqrt,
     np.minimum: _monotone(np.minimum), np.maximum: _monotone(np.maximum),
     np.isfinite: lambda x: np.True_,
-    np.add: lambda a, b: _interval(a) + b, np.subtract: lambda a, b: _interval(a) - b,
-    np.multiply: lambda a, b: _interval(a) * b,
 }
 
 

@@ -51,7 +51,8 @@ class KernelSpec:
     """Kernel k(t,s) with its t-derivative, the Green family's parameters and its pieces.
 
     ``green`` is None for a closed-form kernel, whose sign changes in s must be located when
-    |k| is integrated.  ``pieces()``, built on first use and kept, gives (basis, ends, k, dk):
+    |k| is integrated, and whose pieces come from k and dk/dt run with t an exprlang.Polynomial.
+    ``pieces()``, built on first use and kept, gives (basis, ends, k, dk):
     k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in [ends(t)[b], ends(t)[b + 1]], ends(t)
     of shape (pieces + 1,) + shape(t), dk/dt the same with dk; or None if k has no such pieces.
     A basis function gets read-only nodes and must return a new array.
@@ -76,15 +77,20 @@ class KernelSpec:
         def dk(t, s):
             return exprlang.evaluate(dk_expr, {"t": t, "s": s})
 
+        def in_t(kern, s) -> dict:  # c_p(s) of kern(t, s) = sum_p t^p c_p(s), or NotPolynomial
+            value = kern(exprlang.Polynomial({1: 1.0}, _T_DEGREE), s)
+            return getattr(value, "terms", {0: value})  # a kernel free of t: a number or array
+
         @cache
         def pieces():
-            kt, dkt = (exprlang.polynomial_coefficients(e, "t", _T_DEGREE) for e in (k_expr, dk_expr))
-            if kt is None or dkt is None:
+            try:  # the term counts, at no s: no value is computed
+                nk, ndk = (1 + max(in_t(kern, np.empty(0))) for kern in (k, dk))
+            except exprlang.NotPolynomial:
                 return None
-            size = len(kt + dkt)
-            return (tuple(map(function_of_s, kt + dkt)),
-                    lambda t: np.array([np.zeros(np.shape(t)), np.ones(np.shape(t))]),
-                    np.eye(len(kt), size)[None], np.eye(len(dkt), size, len(kt))[None])
+            basis = (lambda s, kern=kern, p=p: in_t(kern, s).get(p, 0.0) * np.ones_like(s)
+                     for kern, n in ((k, nk), (dk, ndk)) for p in range(n))
+            return (tuple(basis), lambda t: np.array([np.zeros(np.shape(t)), np.ones(np.shape(t))]),
+                    np.eye(nk, nk + ndk)[None], np.eye(ndk, nk + ndk, nk)[None])
 
         return KernelSpec(k, dk, None, pieces)
 

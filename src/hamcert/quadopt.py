@@ -76,6 +76,9 @@ BLOCK_VALUES = 1 << 16
 MAX_AXIS_POINTS = 1 << 22
 
 SCAN_POINTS = 256  # uniform points per row of sign_change_roots' scan
+ROOT_TOL = 1e-14  # sign_change_roots bisects until a row's widest bracket is at most this
+QUAD_TOL = 1e-12  # the absolute error to which integrate_rows integrates every row
+MAX_PANELS = 10_000  # most panels one row may be cut into
 
 
 class QuadratureFailure(Exception):
@@ -180,10 +183,8 @@ def integrate_rows(
     lo: float,
     hi: float,
     breakpoints=None,
-    tol: float = 1e-12,
-    max_panels: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate s -> fn(t, s) over [lo, hi] to absolute tolerance ``tol`` for every t in ``ts``.
+    """Integrate s -> fn(t, s) over [lo, hi] to absolute tolerance QUAD_TOL for every t in ``ts``.
 
     ``fn`` gets a column of t values and an array of s nodes, a row of nodes
     per t; its result must broadcast to the nodes.  ``breakpoints`` holds a
@@ -207,17 +208,17 @@ def integrate_rows(
     while True:
         uniform = len(counts) == 1 or counts.min() == counts.max()
         total_err = _row_sums(errs, counts, uniform)
-        if total_err.max() <= tol:  # every row is done (NaN is never below tol)
+        if total_err.max() <= QUAD_TOL:  # every row is done (NaN is never below it)
             return _row_sums(vals, counts, uniform), total_err, counts
-        live &= ~(total_err <= tol)
-        select = errs > 0.45 * tol * (hi_arr - lo_arr) / (hi - lo)
+        live &= ~(total_err <= QUAD_TOL)
+        select = errs > 0.45 * QUAD_TOL * (hi_arr - lo_arr) / (hi - lo)
         n_sel = np.bincount(row[select], minlength=len(counts))
         if not n_sel.all():  # such a row splits its panels of largest error
             top = np.maximum.reduceat(errs, np.cumsum(counts) - counts)
             select |= (n_sel == 0)[row] & (errs == top[row])
             n_sel = np.bincount(row[select], minlength=len(counts))
         # a stuck row (a panel not finite, or the cap reached) and all later rows stop
-        stuck = live & ~(np.isfinite(total_err) & (counts + n_sel <= max_panels))
+        stuck = live & ~(np.isfinite(total_err) & (counts + n_sel <= MAX_PANELS))
         live &= ~np.logical_or.accumulate(stuck)
         if not live.any():
             break
@@ -237,9 +238,9 @@ def integrate_rows(
         panel, row = panel[:, order], row[order]
         t_arr, lo_arr, hi_arr, vals, errs = panel
     # every row before the first failing one refined until it was done
-    first = int(np.argmin(total_err <= tol))
+    first = int(np.argmin(total_err <= QUAD_TOL))
     raise QuadratureFailure(
-        f"subdivision cap {max_panels} reached (error {total_err[first]:.3e} > tol {tol:.3e})"
+        f"subdivision cap {MAX_PANELS} reached (error {total_err[first]:.3e} > tol {QUAD_TOL:.3e})"
         if np.isfinite(total_err[first]) else "non-finite panel value or error estimate",
         float(_row_sums(vals, counts, uniform)[first]),
         float(total_err[first]),
@@ -252,18 +253,14 @@ def integrate(
     lo: float,
     hi: float,
     breakpoints: Sequence[float] = (),
-    tol: float = 1e-12,
-    max_panels: int = 10_000,
 ) -> QuadResult:
-    """Integrate ``fn`` over [lo, hi] to absolute tolerance ``tol``: one row of integrate_rows.
+    """Integrate ``fn`` over [lo, hi] to absolute tolerance QUAD_TOL: one row of integrate_rows.
 
     Panels never straddle ``breakpoints``.  Raises QuadratureFailure (carrying
-    the best value and achieved error) once ``max_panels`` panels would be
+    the best value and achieved error) once MAX_PANELS panels would be
     exceeded, or as soon as a panel's value or error is not finite.
     """
-    values, errors, panels = integrate_rows(
-        lambda t, s: fn(s), np.zeros(1), lo, hi, (breakpoints,), tol, max_panels
-    )
+    values, errors, panels = integrate_rows(lambda t, s: fn(s), np.zeros(1), lo, hi, (breakpoints,))
     return QuadResult(float(values[0]), float(errors[0]), int(panels[0]))
 
 
@@ -418,13 +415,12 @@ def sign_change_roots(
     ts,
     lo: float,
     hi: float,
-    xtol: float = 1e-14,
 ) -> list[tuple[float, ...]]:
     """Interior roots in s of fn(t, s) on [lo, hi] for each t in ``ts``, by scan plus bisection.
 
     ``fn`` is called as in integrate_rows, first on a (rows, SCAN_POINTS) grid
     of uniform points.  Each sign change is refined by bisection, all rows at
-    once, until the row's widest bracket is at most ``xtol`` or a bracket's
+    once, until the row's widest bracket is at most ROOT_TOL or a bracket's
     midpoint is one of its ends.  Roots the scan steps over are not found.
     """
     ts = np.asarray(ts, dtype=float)
@@ -437,7 +433,7 @@ def sign_change_roots(
         widest = np.zeros(len(ts))
         np.maximum.at(widest, row, b - a)
         m = 0.5 * (a + b)
-        live = (widest[row] > xtol) & (m != a) & (m != b)  # else no float lies between
+        live = (widest[row] > ROOT_TOL) & (m != a) & (m != b)  # else no float lies between
         if not live.any():
             break
         m = m[live]
@@ -450,8 +446,8 @@ def sign_change_roots(
     out = []
     for r in range(len(ts)):
         merged: list[float] = []
-        for x in sorted(x for x in found[owner == r].tolist() if lo + xtol < x < hi - xtol):
-            if not merged or x - merged[-1] > 10 * xtol:
+        for x in sorted(x for x in found[owner == r].tolist() if lo + ROOT_TOL < x < hi - ROOT_TOL):
+            if not merged or x - merged[-1] > 10 * ROOT_TOL:
                 merged.append(x)
         out.append(tuple(merged))
     return out

@@ -177,7 +177,8 @@ def test_each_constant_asks_for_its_seeds_in_one_call(sign_changing, monkeypatch
 
 
 def test_expression_pieces_are_built_once_per_kernel(monkeypatch):
-    counts = {"coefficients": 0, "breakpoints": 0}
+    counts = {"degree probes": 0, "breakpoints": 0}
+    evaluate = exprlang.evaluate
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -185,11 +186,15 @@ def test_expression_pieces_are_built_once_per_kernel(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(exprlang, "polynomial_coefficients",
-                        counted("coefficients", exprlang.polynomial_coefficients))
+    def probed(expr, env):  # t the Polynomial variable and s no points: a degree probe
+        polynomial = isinstance(env.get("t"), exprlang.Polynomial)
+        counts["degree probes"] += polynomial and not np.size(env["s"])
+        return evaluate(expr, env)
+
+    monkeypatch.setattr(exprlang, "evaluate", probed)
     monkeypatch.setattr(KernelSpec, "breakpoints", counted("breakpoints", KernelSpec.breakpoints))
     problem = load_problem(bundled_path("sign_changing.prob")).problem  # kernels not yet asked
     compute_table(problem)
     solver.picard(problem, solver.bump_init(problem, 101), max_iter=3)
     assert counts["breakpoints"] > 100
-    assert counts["coefficients"] == 4  # k and dk/dt of each of the two expression kernels
+    assert counts["degree probes"] == 4  # k and dk/dt of each of the two expression kernels

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamcert import exprlang
@@ -20,13 +20,17 @@ from hamcert.exprlang import (
     ExprError,
     ExprSyntaxError,
     Neg,
+    NotPolynomial,
     Num,
+    Polynomial,
     UnknownFunctionError,
     UnknownVariableError,
     Var,
     evaluate,
     parse,
 )
+from hamcert.interval import Interval
+from hamcert.model import KernelSpec
 
 
 def ev(text: str, variables=(), **env):
@@ -351,35 +355,133 @@ def test_hand_built_trees_evaluate_and_no_tree_text_enters_the_source(tree, env,
                 assert node.value == ODD_NAME or node.value.startswith("non-finite value")
 
 
-# ------------------------------------------------------- polynomial coefficients
+# ---------------------------------------------------------------- polynomials in t
+
+
+def in_t(tree, s):
+    """The tree evaluated with t the Polynomial variable of degree cap 3."""
+    return evaluate(tree, {"t": Polynomial({1: 1.0}, 3), "s": s})
 
 
 @pytest.mark.parametrize("text", ["s*(7/8*t - t^2)", "(t - s)^3", "t^2/(1 + s)", "-t*exp(s)"])
 def test_coefficients_in_t_sum_back_to_the_tree(text):
     tree = parse(text, ("t", "s"))
-    coefficients = exprlang.polynomial_coefficients(tree, "t", 3)
     t, s = np.linspace(0.0, 1.0, 41)[:, None], np.linspace(0.0, 1.0, 37)[None, :]
+    coefficients = in_t(tree, s).terms
     direct = evaluate(tree, {"t": t, "s": s})
-    terms = [t**p * evaluate(c, {"s": s}) for p, c in enumerate(coefficients)]
+    terms = [t**p * c for p, c in coefficients.items()]
     scale = max(np.max(np.abs(term)) for term in terms)  # (t - s)^3 cancels terms up to 3
     assert np.max(np.abs(sum(terms) - direct)) <= 4 * np.finfo(float).eps * scale
-    for c in coefficients:
-        evaluate(c, {"s": s})  # free of t: no UnknownVariableError
+    for c in coefficients.values():
+        assert np.shape(c) in ((), s.shape)  # free of t
 
 
 @pytest.mark.parametrize(
     "text", ["exp(t)", "t/(1 + t)", "sin(t*s)", "t^0.5", "min(t, s)", "abs(t - s)", "t^4"])
 def test_a_tree_that_is_no_polynomial_of_degree_three_in_t_has_no_coefficients(text):
-    assert exprlang.polynomial_coefficients(parse(text, ("t", "s")), "t", 3) is None
+    tree = parse(text, ("t", "s"))
+    with pytest.raises(NotPolynomial):
+        in_t(tree, np.empty(0))
+    assert KernelSpec.from_expressions(tree, tree).pieces() is None
 
 
 def test_coefficients_of_a_tree_free_of_t_and_of_a_zeroth_power():
+    s = np.linspace(0.0, 1.0, 37)
     tree = parse("s*exp(s)", ("t", "s"))
-    assert exprlang.polynomial_coefficients(tree, "t", 3) == (tree,)
-    assert exprlang.polynomial_coefficients(parse("s*t^0", ("t", "s")), "t", 3) == (
-        BinOp("*", Var("s"), Num(1.0)),)
-    assert exprlang.polynomial_coefficients(parse("s*t^2", ("t", "s")), "t", 3)[:2] == (
-        Num(0.0), Num(0.0))
+    assert np.array_equal(in_t(tree, s), evaluate(tree, {"s": s}))  # no Polynomial at all
+    zeroth = in_t(parse("s*t^0", ("t", "s")), s).terms
+    assert list(zeroth) == [0] and np.array_equal(zeroth[0], s)
+    second = in_t(parse("s*t^2", ("t", "s")), s).terms
+    assert list(second) == [2] and np.array_equal(second[2], s)  # t^0 and t^1: never computed
+
+
+# every operation a compiled function performs: a sign, and each operation of the language
+OPERATION_TREES = [Neg(Var("x"))] + [
+    Call(op, (Var("x"), Var("y"))[:FUNCTIONS[op]]) if op in FUNCTIONS
+    else BinOp(op, Var("x"), Var("y")) for op in exprlang._OPERATIONS]
+
+
+@pytest.mark.parametrize("tree", OPERATION_TREES, ids=["sign", *exprlang._OPERATIONS])
+def test_every_operation_has_an_interval_and_a_polynomial_rule(tree):
+    run = exprlang._compile(tree, strict=True)[0]  # isfinite after every operation
+    assert isinstance(run({"x": Interval(0.5, 0.75), "y": Interval(2.0)}), Interval)
+    t = Polynomial({1: 1.0}, 3)
+    try:  # an operation with no rule raises TypeError
+        assert isinstance(run({"x": t, "y": t}), Polynomial)
+    except NotPolynomial:
+        pass
+
+
+def _children(node):
+    return ((node.operand,) if isinstance(node, Neg) else (node.left, node.right)
+            if isinstance(node, BinOp) else node.args if isinstance(node, Call) else ())
+
+
+def _size(node) -> int:
+    return 1 + sum(map(_size, _children(node)))
+
+
+def _has_t(node) -> bool:
+    return node == Var("t") or any(map(_has_t, _children(node)))
+
+
+def _magnitude(node, t, s):
+    """The value with every operation on t taken on absolute values.  A part free of t is
+    computed alike in both evaluations, and is a polynomial's divisor or exponent."""
+    if not _has_t(node):
+        return np.abs(evaluate(node, {"s": s}))
+    if node == Var("t"):
+        return np.abs(t)
+    if isinstance(node, Neg):
+        return _magnitude(node.operand, t, s)
+    a = _magnitude(node.left, t, s)
+    if node.op in "+-*":
+        b = _magnitude(node.right, t, s)
+        return a * b if node.op == "*" else a + b
+    b = evaluate(node.right, {"s": s})
+    return a / np.abs(b) if node.op == "/" else a**b
+
+
+def _grow_in_t(children):
+    def call(func):
+        args = st.lists(children, min_size=FUNCTIONS[func], max_size=FUNCTIONS[func])
+        return args.map(lambda a: Call(func, tuple(a)))
+
+    sums = st.builds(BinOp, st.sampled_from("+-"), children, children)
+    return st.one_of(
+        st.builds(BinOp, st.just("*"), sums | children, sums | children), sums,
+        children.map(Neg), st.builds(BinOp, st.sampled_from("/^"), children, children),
+        st.builds(BinOp, st.just("^"), children, st.sampled_from([0.0, 1.0, 2.0, 3.0]).map(Num)),
+        st.sampled_from(sorted(FUNCTIONS)).flatmap(call))
+
+
+_atoms_in_t = st.one_of(st.sampled_from(("t", "t", "s")).map(Var),
+                        st.sampled_from([0.5, 0.875, 1.0, 1.1, 2.0, 3.0]).map(Num))
+trees_in_t = st.recursive(  # weighted to products of sums such as t + 1, which collect terms
+    _atoms_in_t | st.builds(BinOp, st.sampled_from("+-"), _atoms_in_t, _atoms_in_t),
+    _grow_in_t, max_leaves=8)
+
+
+@settings(max_examples=500, deadline=None)
+@given(tree=trees_in_t)
+def test_a_polynomial_in_t_sums_back_to_the_float_evaluation(tree):
+    # Either sum is off by at most about eps/2 per rounding times the tree's magnitude (Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2002, ch. 3): one per operation, times
+    # up to 3 under a power, and 4 coefficient terms per product, then 2 per term of the sum.
+    # The largest term is no scale: (t + 1)^3 - t^3 - 3*t^2 - 3*t has the one term 1.
+    t, s = np.linspace(0.0, 1.0, 9)[:, None], np.linspace(0.013, 0.987, 12)[None, :]
+    try:
+        value = in_t(tree, s)
+        direct = evaluate(tree, {"t": t, "s": s})
+    except NotPolynomial:
+        return
+    except DomainError:
+        assume(False)
+    terms = value.terms if isinstance(value, Polynomial) else {0: value}
+    assert all(np.shape(c) in ((), s.shape) for c in terms.values())  # free of t
+    total = sum(t**p * c for p, c in terms.items())
+    bound = 4 * (_size(tree) + 4) * np.finfo(float).eps * _magnitude(tree, t, s)
+    assert np.all(np.abs(total - direct) <= bound)
 
 
 def test_a_bare_number_evaluates_to_its_value_without_compiling(monkeypatch):

@@ -106,6 +106,7 @@ def test_even_powers_stay_tight_across_zero():
 @pytest.mark.parametrize("text,lo,hi", [
     ("1/x", -1.0, 1.0), ("sqrt(x)", -1e-300, 1.0), ("x^0.5", -1.0, 1.0), ("x^-2", 0.0, 1.0),
     ("x^y", 0.0, 1.0), ("exp(x)", 700.0, 800.0), ("(1/x)^0", -1.0, 1.0), ("min(1/x, 2)", 0.0, 1.0),
+    ("(1/x)^min(y, 0)", -1.0, 1.0),  # NaN^0 is 1: a poisoned base must poison the power
 ])
 def test_a_box_that_may_leave_the_reals_is_poisoned_through_to_the_result(text, lo, hi):
     out = evaluate(parse(text, VARS), {"x": Interval(lo, hi), "y": Interval(1.0, 2.0)})

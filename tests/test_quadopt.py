@@ -51,9 +51,10 @@ def test_breakpoints_outside_interval_are_ignored():
     assert abs(res.value - 0.5) <= 1e-14
 
 
-def test_divergent_integrand_raises():
+def test_divergent_integrand_raises(monkeypatch):
+    monkeypatch.setattr(quadopt, "MAX_PANELS", 512)
     with pytest.raises(QuadratureFailure):
-        integrate(lambda s: 1.0 / s, 0.0, 1.0, max_panels=512)
+        integrate(lambda s: 1.0 / s, 0.0, 1.0)
 
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -112,9 +113,10 @@ def test_sign_change_roots_none():
     assert sign_change_roots(lambda t, s: 1.0 + s, [0.0], 0.0, 1.0) == [()]
 
 
-def test_sign_change_roots_stop_below_the_float_spacing():
+def test_sign_change_roots_stop_below_the_float_spacing(monkeypatch):
     # no bracket gets narrower than one ulp, so an xtol below that must not
     # keep the bisection going; raising bounds the test if it would
+    monkeypatch.setattr(quadopt, "ROOT_TOL", 1e-17)
     calls = []
 
     def fn(t, s):
@@ -123,7 +125,7 @@ def test_sign_change_roots_stop_below_the_float_spacing():
             raise AssertionError("still bisecting after 300 calls")
         return s - 0.3
 
-    (roots,) = sign_change_roots(fn, [0.0], 0.0, 1.0, xtol=1e-17)
+    (roots,) = sign_change_roots(fn, [0.0], 0.0, 1.0)
     assert len(roots) == 1
     assert abs(roots[0] - 0.3) <= math.ulp(0.3)
 
@@ -290,8 +292,9 @@ def _outcome(call):
         return (str(exc), exc.value, exc.error_bound, exc.subdivisions)
 
 
-def _scalar_reference(fn, lo, hi, breakpoints=(), tol=1e-12, max_panels=10_000):
+def _scalar_reference(fn, lo, hi, breakpoints=()):
     """The one-row adaptive GK(7,15) loop, written out on its own: what each row must give."""
+    tol, max_panels = quadopt.QUAD_TOL, quadopt.MAX_PANELS
     interior = sorted({float(b) for b in breakpoints if lo < b < hi})
     edges = [lo]
     for b in interior:
@@ -335,30 +338,30 @@ def _scalar_reference(fn, lo, hi, breakpoints=(), tol=1e-12, max_panels=10_000):
         errs = np.concatenate([errs[~select], sub_errs])
 
 
-def _one_row(fn, t, breakpoints, **kwargs):
+def _one_row(fn, t, breakpoints):
     """A one-row call's outcome, checked bit for bit against the scalar reference loop."""
     row = lambda s: fn(np.array(t), s)
 
     def call():
-        res = integrate(row, 0.0, 1.0, breakpoints=breakpoints, **kwargs)
+        res = integrate(row, 0.0, 1.0, breakpoints=breakpoints)
         return (res.value, res.error_bound, res.subdivisions)
 
     outcome = _outcome(call)
     assert repr(outcome) == repr(_outcome(
-        lambda: _scalar_reference(row, 0.0, 1.0, breakpoints, **kwargs)))
+        lambda: _scalar_reference(row, 0.0, 1.0, breakpoints)))
     return outcome
 
 
-def _rows_against_one_row_calls(fn, ts, bps, **kwargs):
+def _rows_against_one_row_calls(fn, ts, bps):
     """The batch's outcome and the one expected from one-row calls."""
     width = max(len(b) for b in bps)
     padded = [list(b) + [np.nan] * (width - len(b)) for b in bps]
     rows = _outcome(lambda: list(zip(
-        *(x.tolist() for x in quadopt.integrate_rows(fn, ts, 0.0, 1.0, padded, **kwargs))
+        *(x.tolist() for x in quadopt.integrate_rows(fn, ts, 0.0, 1.0, padded))
     )))
     expected = []
     for t, b in zip(ts, bps):
-        one = _one_row(fn, t, b, **kwargs)
+        one = _one_row(fn, t, b)
         if isinstance(one[0], str):  # the first failing row's failure is the batch's
             return rows, one
         expected.append(one)
@@ -374,7 +377,9 @@ def _rows_against_one_row_calls(fn, ts, bps, **kwargs):
 )
 def test_each_row_equals_a_one_row_call_bit_for_bit(ts, name, at, tol):
     bps = [{"none": (), "t": (t,), "t and eta": (t, 0.37)}[at] for t in ts]
-    rows, expected = _rows_against_one_row_calls(ROW_INTEGRANDS[name], ts, bps, tol=tol)
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would not reset between examples
+        patch.setattr(quadopt, "QUAD_TOL", tol)
+        rows, expected = _rows_against_one_row_calls(ROW_INTEGRANDS[name], ts, bps)
     assert repr(rows) == repr(expected)  # bit for bit, NaN included
 
 
@@ -397,22 +402,22 @@ def test_a_non_finite_row_raises_its_one_row_failure():
     assert "non-finite" in rows[0] and rows[3] == 2
 
 
-def test_the_first_failing_row_wins_even_if_a_later_row_fails_sooner():
+def test_the_first_failing_row_wins_even_if_a_later_row_fails_sooner(monkeypatch):
     # t = 0.5 reaches the panel cap after several rounds; t = 0.9 is not
     # finite in the first round, but the one-row loop would meet t = 0.5 first
     # t = 0.5 and 0.6 reach it in the same round, with different errors
+    monkeypatch.setattr(quadopt, "MAX_PANELS", 64)
     fn = lambda t, s: np.where(t > 0.8, np.inf, t / s)
     with np.errstate(invalid="ignore"):
-        rows, expected = _rows_against_one_row_calls(
-            fn, [0.0, 0.5, 0.6, 0.9], [()] * 4, max_panels=64
-        )
+        rows, expected = _rows_against_one_row_calls(fn, [0.0, 0.5, 0.6, 0.9], [()] * 4)
     assert repr(rows) == repr(expected)  # bit for bit, NaN included
     assert rows[0].startswith("subdivision cap 64 reached")
 
 
-def test_later_rows_stop_once_a_row_fails():
+def test_later_rows_stop_once_a_row_fails(monkeypatch):
     # t = 0.9 is not finite in the first round: it and t = 0.95 are never
     # evaluated again, while t = 0.2 refines until it reaches the cap
+    monkeypatch.setattr(quadopt, "MAX_PANELS", 64)
     called = []
 
     def fn(t, s):
@@ -420,9 +425,8 @@ def test_later_rows_stop_once_a_row_fails():
         return np.where(t == 0.9, np.inf, t / s)
 
     with np.errstate(invalid="ignore"):
-        rows = _outcome(lambda: quadopt.integrate_rows(fn, [0.2, 0.9, 0.95], 0.0, 1.0,
-                                                        max_panels=64))
-        expected = _one_row(lambda t, s: t / s, 0.2, (), max_panels=64)
+        rows = _outcome(lambda: quadopt.integrate_rows(fn, [0.2, 0.9, 0.95], 0.0, 1.0))
+        expected = _one_row(lambda t, s: t / s, 0.2, ())
     assert len(called) > 1 and all(c.max() < 0.9 for c in called[1:])
     assert rows[0].startswith("subdivision cap 64 reached") and rows == expected
 
@@ -457,16 +461,17 @@ def test_extremize_evaluates_its_seeds_in_one_call():
 
 
 @pytest.mark.parametrize("xtol", [1e-14, 6.12745098039495e-05])
-def test_sign_change_roots_of_many_rows(xtol):
+def test_sign_change_roots_of_many_rows(xtol, monkeypatch):
     # after six bisections the bracket around 0.10031 is 5.6e-17 narrower than
     # the one around 0.90071, and the second xtol lies between them: each row
     # stops when its own widest bracket is within xtol
     ts = np.array([0.2, 0.10031, 1.5, 0.90071])
     fn = lambda t, s: (s - t) * (s - 0.5)
-    roots = sign_change_roots(fn, ts, 0.0, 1.0, xtol=xtol)
+    monkeypatch.setattr(quadopt, "ROOT_TOL", xtol)
+    roots = sign_change_roots(fn, ts, 0.0, 1.0)
     assert [len(r) for r in roots] == [2, 2, 1, 2]
     for t, found in zip(ts, roots):
-        assert found == sign_change_roots(fn, [t], 0.0, 1.0, xtol=xtol)[0]
+        assert found == sign_change_roots(fn, [t], 0.0, 1.0)[0]
 
 
 # ------------------------------------------------- best-first scans with interval bounds

@@ -390,8 +390,10 @@ def _assert_applies_as_dense(problem, n: int) -> None:
 
 
 @pytest.mark.parametrize("n", [101, 401])
-@pytest.mark.parametrize("make", [lambda p: p, _cubic, lambda p: _with_spec(p, _hand_built())],
-                         ids=["sign_changing", "cubic", "hand_built"])
+@pytest.mark.parametrize("make", [
+    lambda p: p, _cubic, lambda p: _with_spec(p, _hand_built()),
+    lambda p: _with_kernel(p, "s*t^(1 + 1) - t", "2*s*t - 1"),  # an exponent computed, not read
+], ids=["sign_changing", "cubic", "hand_built", "computed_power"])
 def test_factored_weights_apply_as_the_dense_weights(n, make, sign_changing):
     _assert_applies_as_dense(make(sign_changing.problem), n)
 

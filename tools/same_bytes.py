@@ -9,6 +9,8 @@ its own root with its own ``src`` on PYTHONPATH.
 The runs are the six commands on both bundled problems, plus
 ``certify --hints ignore``, ``certify --grid 33``, ``solve --grid 201`` and
 the scaled box scans ``nonexistence --grid 61`` and ``certify --grid 61``,
+the scaled solves ``solve sign_changing.prob --grid 2001`` (the O(n) apply of
+kernels polynomial in t) and ``solve third_order.prob --grid 4001``,
 every job of the benchmark workloads at seed 1, whose problem files
 ``perfbench/workloads.py`` writes into the temporary directory (the module
 is imported without writing bytecode; nothing under ``perfbench/`` changes),
@@ -55,6 +57,7 @@ RUNS = [
     ["nonexistence", "--grid", "61"],
     ["certify", "--grid", "61"],
 ]
+SCALED_SOLVES = [(PROBLEMS[0], "2001"), (PROBLEMS[1], "4001")]  # (problem, --grid)
 # sign_changing.prob with exp(-t*s) beside a Green kernel, started from a small bump
 DENSE_EDITS = [
     ("kernel = s*(7/8*t - t^2)\nkernel_dt = s*(7/8 - 2*t)\n",
@@ -187,7 +190,9 @@ def main(argv: list[str]) -> int:
         shutil.copytree(ROOT / "src", here / "src", ignore=shutil.ignore_patterns("__pycache__"))
         report = Path(tmp) / "report.json"
         runs = [[extra[0], f"src/hamcert/problems/{prob}", *extra[1:]]
-                for prob in PROBLEMS for extra in RUNS] + workload_runs(Path(tmp) / "workloads")
+                for prob in PROBLEMS for extra in RUNS]
+        runs += [["solve", f"src/hamcert/problems/{p}", "--grid", n] for p, n in SCALED_SOLVES]
+        runs += workload_runs(Path(tmp) / "workloads")
         runs += derived_runs(Path(tmp))
         differ = 0
         for argv_run in runs:
