@@ -447,15 +447,13 @@ def _cmd_assumptions(loaded: LoadedProblem, args) -> tuple[int, dict]:
 
 def _cmd_constants(loaded: LoadedProblem, args) -> tuple[int, dict]:
     table = compute_table(loaded.problem)
-    rows = []
-    for consts in table.components:
-        for res in (consts.m, consts.m_star, consts.M, consts.M_star):
-            rows.append({**dataclasses.asdict(res), "reciprocal": 1.0 / res.constant})
+    rows = [dataclasses.asdict(res) for consts in table.components
+            for res in (consts.m, consts.m_star, consts.M, consts.M_star)]
     width = max(len(r["name"]) for r in rows)
     for r in rows:
         print(
-            f"{r['name']:<{width}}  {r['constant']:.12g}  (1/{r['name']} = {r['reciprocal']:.12g}, "
-            f"quadrature error {r['quad_error']:.2e})"
+            f"{r['name']:<{width}}  {r['constant']:.12g}  (1/{r['name']} = "
+            f"{r['extremal_integral']:.12g}, quadrature error {r['quad_error']:.2e})"
         )
     doc = {"command": "constants", "constants": rows}
     return 0, doc

@@ -2,10 +2,11 @@
 
     -w'''(t) = h(t),   w(0) = w'(0) = 0,   w'(1) = alpha * w'(eta)
 
-with 0 < eta < 1 and 1 < alpha < 1/eta.  The kernel splits into four
-polynomial branches glued along s = t and s = eta; its t-derivative has the
-same structure.  Both are nonnegative on the unit square, k is dominated by
-phi(s) and bounded below by c*phi(s) on the strip [eta/alpha, eta], and
+with 0 < eta < 1 and 1 < alpha < 1/eta.  The kernel is four polynomial
+branches glued along s = t and s = eta, its t-derivative likewise, and both are
+defined only by branch_coefficients' t^p s^q tables, which table_value evaluates
+and the solver applies.  Both are nonnegative on the unit square, k is dominated
+by phi(s) and bounded below by c*phi(s) on the strip [eta/alpha, eta], and
 dk/dt is squeezed between d*psi and psi there.
 """
 
@@ -63,30 +64,9 @@ class ResidualReport:
     n_grid: int
 
 
-def _kernel_branches(alpha: float, eta: float):
-    """The four polynomial pieces of k as functions of (t, s), each divided by 2(1 - alpha*eta).
-
-    Order: s below both t and eta; t <= s <= eta; eta <= s <= t; s above both.
-    """
-    one = 1.0 - alpha * eta
-    return (lambda t, s: ((2 * t * s - s**2) * one + t**2 * s * (alpha - 1.0)) / (2.0 * one),
-            lambda t, s: (t**2 * one + t**2 * s * (alpha - 1.0)) / (2.0 * one),
-            lambda t, s: ((2 * t * s - s**2) * one + t**2 * (alpha * eta - s)) / (2.0 * one),
-            lambda t, s: t**2 * (1.0 - s) / (2.0 * one))
-
-
-def _derivative_branches(alpha: float, eta: float):
-    """The four pieces of dk/dt as functions of (t, s), each divided by (1 - alpha*eta)."""
-    one = 1.0 - alpha * eta
-    return (lambda t, s: (s * one + t * s * (alpha - 1.0)) / one,
-            lambda t, s: (t * one + t * s * (alpha - 1.0)) / one,
-            lambda t, s: (s * one + t * (alpha * eta - s)) / one,
-            lambda t, s: t * (1.0 - s) / one)
-
-
 def branch_coefficients(alpha: float, eta: float) -> tuple[np.ndarray, np.ndarray]:
-    """c[b, p, q], the coefficient of t^p s^q in branch b of k (as in _kernel_branches), and
-    dk/dt's table by the shift c'[b, p] = (p + 1) c[b, p + 1]."""
+    """c[b, p, q], the coefficient of t^p s^q in branch b of k (the kernel's only definition),
+    and dk/dt's table by the shift c'[b, p] = (p + 1) c[b, p + 1]."""
     b = 0.5 / (1.0 - alpha * eta)
     a, e = (alpha - 1.0) * b, alpha * eta * b
     c = np.array([[[0.0, 0.0, -0.5], [0.0, 1.0, 0.0], [0.0, a, 0.0]],  # s <= min(t, eta)
@@ -98,34 +78,42 @@ def branch_coefficients(alpha: float, eta: float) -> tuple[np.ndarray, np.ndarra
 
 def branch_ends(eta: float, t) -> np.ndarray:
     """The ends 0, min(t, eta), eta, max(t, eta), 1 of the branches' s-intervals, on a new first
-    axis: branch b (as in _kernel_branches) spans [ends[b], ends[b + 1]], empty off its rows."""
+    axis: branch b spans [ends[b], ends[b + 1]], empty off its rows."""
     t = np.asarray(t, dtype=float)
     return np.array([np.zeros_like(t), np.minimum(t, eta), np.full_like(t, eta),
                      np.maximum(t, eta), np.ones_like(t)])
 
 
-def _select_branch(branches, eta: float, t, s):
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    b1, b2, b3, b4 = [b(t, s) for b in branches]
-    return np.where(s <= np.minimum(t, eta), b1,
-                    np.where(s <= eta, b2, np.where(s <= np.maximum(t, eta), b3, b4)))
+def table_value(table: np.ndarray, eta: float, t, s, b=None):
+    """sum_{p,q} table[b, p, q] t^p s^q, by Horner in s and then in t, on branch b (one, or an
+    array of them that broadcasts with t and s) or by default on the branch that holds s, a seam
+    going to the lower branch."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    if b is None:
+        b = np.add(s > np.minimum(t, eta), s > eta, dtype=np.intp) + (s > np.maximum(t, eta))
+
+    def horner(terms, x):  # terms from the highest power down, each made when it is needed
+        out = next(terms)
+        for c in terms:
+            out = out * x + c
+        return out
+
+    return horner((horner((table[:, p, q][b] for q in reversed(range(table.shape[2]))), s)
+                   for p in reversed(range(table.shape[1]))), t)
 
 
 def build_kernel(params: GreenParams) -> KernelSpec:
-    """Kernel spec for the family, its one k and dk/dt evaluator; its pieces meet at s = t, eta."""
-    alpha, eta = params.alpha, params.eta
-    k, dk = (
-        partial(_select_branch, branches(alpha, eta), eta)
-        for branches in (_kernel_branches, _derivative_branches)
-    )
+    """Kernel spec for the family: k and dk/dt evaluate branch_coefficients' two tables, which
+    pieces() hands the solver; the pieces meet at s = t, eta."""
+    eta = params.eta
+    tables = branch_coefficients(params.alpha, eta)
 
     @cache
     def pieces():
         return (tuple(lambda s, q=q: s ** q for q in (0.0, 1.0, 2.0)),
-                partial(branch_ends, eta), *branch_coefficients(alpha, eta))
+                partial(branch_ends, eta), *tables)
 
-    return KernelSpec(k, dk, params, pieces)
+    return KernelSpec(*(partial(table_value, table, eta) for table in tables), params, pieces)
 
 
 def envelope_constant_c(params: GreenParams) -> float:
@@ -157,31 +145,23 @@ def default_envelope(params: GreenParams) -> Envelope:
 
 
 def check_kernel_properties(comp: Component, n: int = 200) -> AssumptionReport:
-    """Sampled branch gluing, signs and three-point identity of a Green component's kernel, with
-    verify_A3's items for its declared envelope."""
+    """Sampled branch gluing (adjacent branches of both coefficient tables at their seams), signs
+    and three-point identity of a Green component's kernel, with verify_A3's items for its
+    declared envelope."""
     params, env, kern = comp.kernel.green, comp.envelope, comp.kernel
     alpha, eta = params.alpha, params.eta
-    ts = np.linspace(0.0, 1.0, n)
-    ss = np.linspace(0.0, 1.0, n)
+    ts = ss = np.linspace(0.0, 1.0, n)
 
-    # Adjacent branch formulas agree identically along both seams; evaluate
+    # Adjacent branches of each table agree identically along both seams; evaluate
     # the pairs at the seam points themselves, so any gap is pure roundoff.
-    t_lo = np.linspace(0.0, eta, n)
-    t_hi = np.linspace(eta, 1.0, n)
-    eta_arr = np.full(n, eta)
-    jump = 0.0
-    for pieces in (_kernel_branches(alpha, eta), _derivative_branches(alpha, eta)):
-        below = [b(t_lo, t_lo) for b in pieces]
-        at_eta_lo = [b(t_lo, eta_arr) for b in pieces]
-        at_eta_hi = [b(t_hi, eta_arr) for b in pieces]
-        above = [b(t_hi, t_hi) for b in pieces]
-        for left, right in (
-            (below[0], below[1]),        # s = t with t <= eta
-            (at_eta_lo[1], at_eta_lo[3]),  # s = eta with t <= eta
-            (at_eta_hi[0], at_eta_hi[2]),  # s = eta with t >= eta
-            (above[2], above[3]),        # s = t with t >= eta
-        ):
-            jump = max(jump, float(np.max(np.abs(right - left))))
+    t_lo, t_hi = np.linspace(0.0, eta, n), np.linspace(eta, 1.0, n)
+    seams = ((0, 1, t_lo, t_lo),  # s = t with t <= eta
+             (1, 3, t_lo, eta),  # s = eta with t <= eta
+             (0, 2, t_hi, eta),  # s = eta with t >= eta
+             (2, 3, t_hi, t_hi))  # s = t with t >= eta
+    gaps = (table_value(c, eta, t, s, right) - table_value(c, eta, t, s, left)
+            for c in branch_coefficients(alpha, eta) for left, right, t, s in seams)
+    jump = max(float(np.max(np.abs(gap))) for gap in gaps)
 
     k_sq = kern.k(ts[:, None], ss[None, :])
     dk_sq = kern.dk_dt(ts[:, None], ss[None, :])

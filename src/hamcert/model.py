@@ -51,11 +51,12 @@ class KernelSpec:
     """Kernel k(t,s) with its t-derivative, the Green family's parameters and its pieces.
 
     ``green`` is None for a closed-form kernel, whose sign changes in s must be located when
-    |k| is integrated, and whose pieces come from k and dk/dt run with t an exprlang.Polynomial.
-    ``pieces()``, built on first use and kept, gives (basis, ends, k, dk):
-    k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in [ends(t)[b], ends(t)[b + 1]], ends(t)
-    of shape (pieces + 1,) + shape(t), dk/dt the same with dk; or None if k has no such pieces.
-    A basis function gets read-only nodes and must return a new array.
+    |k| is integrated, and whose pieces come from k and dk/dt run with t an exprlang.Polynomial;
+    a Green kernel's k and dk/dt evaluate its pieces' tables.  ``pieces()``, built on first use
+    and kept, gives (basis, ends, k, dk): k(t, s) = sum_{p,r} t^p k[b, p, r] basis_r(s) for s in
+    [ends(t)[b], ends(t)[b + 1]], ends(t) of shape (pieces + 1,) + shape(t), dk/dt the same with
+    dk; or None for a kernel without pieces.  A basis function gets read-only nodes and must
+    return a new array.
     """
 
     k: Callable

@@ -174,7 +174,7 @@ def _discretize(problem: SystemProblem, n: int) -> _Weights:
     against k*g.  The integrals are composite Gauss-7 sums over panels split
     at the grid nodes and the kernel breakpoints.  A row block is one kern(t, s) call over all
     of s, contracted with the hat weights of every panel; it holds at most BLOCK_VALUES / 4
-    values (or one row), as a Green kernel holds its four branches at once.
+    values (or one row), the rule of quadopt's panel evaluation, where a full block costs RSS.
     """
     grid, _, cell, s, frac, gw = _panels(problem, n)
     starts = np.searchsorted(cell, np.arange(n - 1))  # every cell holds a panel

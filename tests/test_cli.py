@@ -198,8 +198,8 @@ def test_constants_of_a_kernel_that_ignores_s(tmp_path, sign_text, capsys):
     assert main(["constants", _write(tmp_path, text), "--no-meta", "--out", str(out)]) == 0
     rows = {r["name"]: r for r in json.loads(out.read_text())["constants"]}
     # with g = 1, 1/m1 = max |k| at t = 7/16 and 1/m1* = max |dk/dt| at t = 1
-    assert rows["m1"]["reciprocal"] == pytest.approx(65 / 256, rel=1e-12)
-    assert rows["m1*"]["reciprocal"] == pytest.approx(9 / 8, rel=1e-12)
+    assert rows["m1"]["extremal_integral"] == pytest.approx(65 / 256, rel=1e-12)
+    assert rows["m1*"]["extremal_integral"] == pytest.approx(9 / 8, rel=1e-12)
 
 
 def test_constants_reports_a_domain_error(tmp_path, sign_text, capsys):
@@ -493,7 +493,7 @@ REPORT_KEYS = {
     "assumptions": ("passed", "reports", *(f"reports.{k}" for k in _ITEMS)),
     "constants": (
         "constants", "constants.constant", "constants.extremal_integral", "constants.name",
-        "constants.quad_error", "constants.reciprocal", "constants.t_star", "constants.window",
+        "constants.quad_error", "constants.t_star", "constants.window",
     ),
     "certify": (
         *_CERTIFICATE, "certificate.outcomes.condition", "certificate.outcomes.inequalities",

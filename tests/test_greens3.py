@@ -67,14 +67,30 @@ def test_kernel_vectorized():
     assert np.all(k >= -1e-15)
 
 
-def _select_reference(pieces, eta, t, s):
-    """All four branches at every pair, one kept by np.select: the reference."""
-    b1, b2, b3, b4 = (b(t, s) for b in pieces)
+def _closed_form(params: GreenParams, t, s, branch=None):
+    """(k, dk/dt) from k = t^2((1-s) - alpha(eta-s)_+)/(2(1-alpha*eta)) - (t-s)_+^2/2, or branch
+    b's polynomial on the whole square: (eta-s)_+ read as eta-s on branches 0 and 1, else 0, and
+    (t-s)_+ as t-s on branches 0 and 2, else 0."""
+    alpha, eta = params.alpha, params.eta
+    if branch is None:
+        near, cut = np.maximum(eta - s, 0.0), np.maximum(t - s, 0.0)
+    else:
+        near, cut = (eta - s) * (branch < 2), (t - s) * (branch % 2 == 0)
+    top, one = (1.0 - s) - alpha * near, 1.0 - alpha * eta
+    return t**2 * top / (2.0 * one) - cut**2 / 2.0, t * top / one - cut
+
+
+def _ulps(params: GreenParams) -> float:
+    """4 ulps of 1 over 1 - alpha*eta: a bound on k's and dk/dt's rounding."""
+    return 4.0 * np.finfo(float).eps / (1.0 - params.alpha * params.eta)
+
+
+def _select_reference(table, eta, t, s):
+    """All four table branches at every pair, one kept by np.select on the seam conditions."""
+    values = [greens3.table_value(table, eta, t, s, b) for b in range(4)]
     return np.select(
         [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
-        [b1, b2, b3],
-        default=b4,
-    )
+        values[:3], default=values[3])
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -84,12 +100,10 @@ def test_branch_coefficients_reproduce_the_branches(params):
     assert k_table.shape == (4, 3, 3) and dk_table.shape == (4, 2, 3)
     grid = np.unique(np.r_[np.linspace(0.0, 1.0, 61), eta])  # both seams: s = eta and s = t
     t, s = grid[:, None], grid[None, :]
-    for table, branches in ((k_table, greens3._kernel_branches(alpha, eta)),
-                            (dk_table, greens3._derivative_branches(alpha, eta))):
-        for c, branch in zip(table, branches):
-            exact = branch(t, s) * np.ones_like(t * s)
+    for b in range(4):
+        for c, exact in zip((k_table[b], dk_table[b]), _closed_form(params, t, s, b)):
             poly = sum(c[p, q] * t**p * s**q for p in range(c.shape[0]) for q in range(3))
-            assert np.max(np.abs(poly - exact)) <= 1e-15 * np.max(np.abs(exact))
+            assert np.max(np.abs(poly - exact)) <= _ulps(params)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -98,12 +112,14 @@ def test_branch_bounds_cover_the_unit_interval_once(params):
     ends = greens3.branch_ends(params.eta, t)
     assert ends.shape == (5, len(t)) and np.all(ends[:-1] <= ends[1:])
     assert np.array_equal(ends[0], np.zeros_like(t)) and np.array_equal(ends[-1], np.ones_like(t))
-    kern = greens3._kernel_branches(params.alpha, params.eta)
-    for b, (a, z) in enumerate(zip(ends[:-1], ends[1:])):  # _select_branch picks b inside
+    kern = build_kernel(params)
+    tables = greens3.branch_coefficients(params.alpha, params.eta)
+    for b, (a, z) in enumerate(zip(ends[:-1], ends[1:])):  # the kernel picks branch b inside
         inside = z - a > 1e-9
         mid = 0.5 * (a + z)[inside]
-        picked = greens3._select_branch(kern, params.eta, t[inside], mid)
-        assert np.array_equal(picked, kern[b](t[inside], mid))
+        for value, table in zip((kern.k, kern.dk_dt), tables):
+            branch = greens3.table_value(table, params.eta, t[inside], mid, b)
+            assert np.array_equal(value(t[inside], mid), branch)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -126,7 +142,7 @@ def test_breakpoints_are_where_the_pieces_meet(params, third_order):
 
 @pytest.mark.parametrize("params", PARAM_SETS)
 def test_kernel_evaluation_matches_select_bit_for_bit(params):
-    alpha, eta = params.alpha, params.eta
+    eta = params.eta
     kern = build_kernel(params)
     rng = np.random.default_rng(3)
     x, y = eta / 2, (1 + eta) / 2  # split points below and above eta
@@ -153,17 +169,16 @@ def test_kernel_evaluation_matches_select_bit_for_bit(params):
         (draw(y, 1, y), draw(above(eta), y, above(eta), above(y))),
         (draw(0, y, y), draw(y, 1, y, 1.0)),
     ]
+    tables = greens3.branch_coefficients(params.alpha, eta)
     for t, s in cases:
         t0, s0 = np.array(t[0]), np.array(s[0])
         for tt, ss in ((t[:, None], s[None, :]), (t0, s), (t0, s0)):
-            for value, pieces in (
-                (kern.k, greens3._kernel_branches(alpha, eta)),
-                (kern.dk_dt, greens3._derivative_branches(alpha, eta)),
-            ):
+            for value, table, exact in zip((kern.k, kern.dk_dt), tables,
+                                           _closed_form(params, tt, ss)):
                 got = value(tt, ss)
-                want = _select_reference(pieces, eta, tt, ss)
-                assert type(got) is type(want) and got.shape == want.shape
-                assert np.array_equal(got, want)
+                want = _select_reference(table, eta, tt, ss)
+                assert np.shape(got) == want.shape and np.array_equal(got, want)
+                assert np.max(np.abs(got - exact)) <= _ulps(params)
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
@@ -380,15 +395,26 @@ def test_family_invariants_hold_across_parameters(ae):
 
 
 @pytest.mark.parametrize("params", PARAM_SETS)
-@pytest.mark.parametrize("table", [greens3._kernel_branches, greens3._derivative_branches])
-def test_branch_choice_matches_np_select_on_the_seams(params, table):
+@pytest.mark.parametrize("which", [0, 1], ids=["k", "dk_dt"])
+def test_branch_choice_matches_np_select_on_the_seams(params, which):
     eta = params.eta
     s = np.r_[np.linspace(0.0, 1.0, 300), eta][None, :]
     t = np.r_[np.linspace(0.0, 1.0, 500), eta, s[0]][:, None]  # s = t, s = eta and t = eta
-    branches = table(params.alpha, eta)
-    values = [branch(t, s) for branch in branches]
-    reference = np.select(
-        [s <= np.minimum(eta, t), (t <= s) & (s <= eta), (eta <= s) & (s <= t)],
-        values[:3], default=values[3])
-    chosen = greens3._select_branch(branches, eta, t, s)
+    table = greens3.branch_coefficients(params.alpha, eta)[which]
+    reference = _select_reference(table, eta, t, s)
+    kern = build_kernel(params)
+    chosen = (kern.k, kern.dk_dt)[which](t, s)
     assert chosen.dtype == reference.dtype and np.array_equal(chosen, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ae=valid_params)
+def test_table_kernel_is_the_closed_form(ae):
+    params = GreenParams(*ae)
+    kern = build_kernel(params)
+    grid = np.unique(np.r_[np.linspace(0.0, 1.0, 41), params.eta])  # both seams
+    t, s = grid[:, None], grid[None, :]
+    for value, exact in zip((kern.k, kern.dk_dt), _closed_form(params, t, s)):
+        assert np.max(np.abs(value(t, s) - exact)) <= _ulps(params)
+    assert np.all(kern.k(grid, 0.0) == 0.0) and np.all(kern.dk_dt(grid, 0.0) == 0.0)
+    assert np.all(kern.k(0.0, grid) == 0.0)

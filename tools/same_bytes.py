@@ -19,10 +19,13 @@ is imported without writing bytecode; nothing under ``perfbench/`` changes),
 dense n x n weights are built, and ``constants`` and ``solve`` on one whose
 t*exp(s) kernel is one piece over a basis that is not polynomial in s (exits 1
 if a substitution does not match exactly once).  Exit code, stdout, stderr and
-the JSON report must match byte for byte.  Prints each run that differs, and
-for a JSON report that differs every numeric leaf that moved (path, value at
-REF, value here and the relative change), then the ``wc -l`` total of
-``src/hamcert/*.py`` in both trees; exits 1 if any run differs, else 0.
+the JSON report must match byte for byte.  Prints each run that differs; under
+it, the stdout and stderr lines that differ (``-`` at REF, ``+`` here, no
+context), and for a JSON report that differs every leaf that moved (path,
+value at REF, value here and, for a number, the relative change), every key
+that only one report has and every list whose length changed.  Then prints the
+``wc -l`` total of ``src/hamcert/*.py`` in both trees; exits 1 if any run
+differs, else 0.
 
 With ``--rounds K``, each run is then timed K more times in each tree, in a
 fresh process each time, REF first in every other pair.  Wall time, CPU time
@@ -34,6 +37,7 @@ The timings do not change the exit status.
 from __future__ import annotations
 
 import argparse
+import difflib
 import io
 import json
 import os
@@ -99,20 +103,34 @@ def timed(tree: Path, report: Path, argv: list[str]) -> tuple[float, float, floa
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024  # ru_maxrss is in KiB
 
 
-def moved_numbers(ref: bytes, here: bytes) -> list[str]:
-    """One line per numeric JSON leaf that differs between two reports."""
+def changed_lines(stream: str, ref: bytes, here: bytes) -> list[str]:
+    """The lines of one output stream that differ, ``-`` at REF and ``+`` here, no context."""
+    diff = list(difflib.unified_diff(ref.decode(errors="replace").splitlines(),
+                                     here.decode(errors="replace").splitlines(),
+                                     n=0, lineterm=""))[2:]  # the two file headers
+    return [f"    {stream} {line}" for line in diff if not line.startswith("@@")]
+
+
+def moved_leaves(ref: bytes, here: bytes) -> list[str]:
+    """One line per JSON leaf that differs between two reports (a number with its relative
+    change), per key that only one of them has and per list whose length differs."""
     lines: list[str] = []
 
     def walk(a, b, path: str) -> None:
         if isinstance(a, dict) and isinstance(b, dict):
+            lines.extend(f"    {path}.{key}: only at REF" for key in a if key not in b)
+            lines.extend(f"    {path}.{key}: only here" for key in b if key not in a)
             for key in (k for k in a if k in b):
                 walk(a[key], b[key], f"{path}.{key}")
         elif isinstance(a, list) and isinstance(b, list):
+            if len(a) != len(b):
+                lines.append(f"    {path or '.'}: {len(a)} items at REF, {len(b)} here")
             for i, (x, y) in enumerate(zip(a, b)):
                 walk(x, y, f"{path}[{i}]")
-        elif a != b and all(type(x) in (int, float) for x in (a, b)):  # bool is no number
-            rel = abs(b - a) / max(abs(a), abs(b))
-            lines.append(f"    {path or '.'}: {a!r} -> {b!r} (relative {rel:.1e})")
+        elif a != b:
+            numbers = all(type(x) in (int, float) for x in (a, b))  # bool is no number
+            rel = f" (relative {abs(b - a) / max(abs(a), abs(b)):.1e})" if numbers else ""
+            lines.append(f"    {path or '.'}: {a!r} -> {b!r}{rel}")
 
     try:
         walk(json.loads(ref), json.loads(here), "")
@@ -201,8 +219,11 @@ def main(argv: list[str]) -> int:
             if parts:
                 differ += 1
                 print(f"DIFFERS ({', '.join(parts)}): {' '.join(argv_run)}")
+                for stream, x, y in (("stdout", a[1], b[1]), ("stderr", a[2], b[2])):
+                    for line in changed_lines(stream, x, y):
+                        print(line)
                 if "json" in parts and a[3] is not None and b[3] is not None:
-                    for line in moved_numbers(a[3], b[3]):
+                    for line in moved_leaves(a[3], b[3]):
                         print(line)
         print(f"{differ} of {len(runs)} runs differ from {args.ref}")
         print(f"wc -l src/hamcert/*.py: {source_lines(ref)} at {args.ref}, "
