@@ -80,7 +80,6 @@ _GREEN_RE = re.compile(r"green\((.*)\)\s*$")
 
 _ENVELOPE_KEYS = ("phi", "psi", "a", "b", "c", "gamma", "delta", "d")
 _HINT_KEYS = ("sup_hint", "inf_plain_hint", "inf_star_hint")
-_COMPONENT_KEYS = {"kernel", "kernel_dt", "weight", "f", *_ENVELOPE_KEYS, *_HINT_KEYS}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,7 +158,7 @@ def _const(entry: _Entry, path: str) -> float:
     return float(val)
 
 
-def _expr(entry: _Entry, variables: tuple[str, ...], path: str):
+def _expr(entry: _Entry, path: str, variables: tuple[str, ...]):
     try:
         return exprlang.parse(entry.value, variables)
     except ExprError as exc:
@@ -206,40 +205,43 @@ class LoadedProblem:
     solver: SolverConfig
 
 
-def _build_component(sec: _Section, name: str, path: str) -> Component:
+def _kernel(entry: _Entry, path: str):
+    """green(alpha, eta)'s GreenParams, or else an expression over KERNEL_VARS."""
+    green = _GREEN_RE.fullmatch(entry.value)
+    if green is None:
+        return _expr(entry, path, KERNEL_VARS)
+    args = green.group(1).split(",")
+    if len(args) != 2:
+        raise ProblemFileError(
+            "green(...) takes exactly two arguments (alpha, eta)", path, entry.line, entry.col
+        )
+    alpha, eta = (_const(_Entry(arg.strip(), entry.line, entry.col), path) for arg in args)
+    try:
+        return greens3.GreenParams(alpha, eta)
+    except greens3.ParamError as exc:
+        raise ProblemFileError(str(exc), path, entry.line, entry.col) from exc
+
+
+def _build_component(sections: dict[str, _Section], name: str, path: str) -> Component:
+    sec = sections[name]
     for key in ("kernel", "weight", "f"):
         if key not in sec:
             raise ProblemFileError(f"[{name}] is missing {key!r}", path, sec.line)
-    kentry = sec["kernel"]
-    green = _GREEN_RE.fullmatch(kentry.value)
-    if green is not None:
+    values = _values(sections, name, path)
+    kentry, kernel = sec["kernel"], values.pop("kernel")
+    if isinstance(kernel, greens3.GreenParams):
         if "kernel_dt" in sec:
             e = sec["kernel_dt"]
             raise ProblemFileError(
                 "kernel_dt is not allowed with a green(...) kernel", path, e.line, e.col
             )
-        args = green.group(1).split(",")
-        if len(args) != 2:
-            raise ProblemFileError(
-                "green(...) takes exactly two arguments (alpha, eta)",
-                path, kentry.line, kentry.col,
-            )
-        alpha = _const(_Entry(args[0].strip(), kentry.line, kentry.col), path)
-        eta = _const(_Entry(args[1].strip(), kentry.line, kentry.col), path)
-        try:
-            params = greens3.GreenParams(alpha, eta)
-        except greens3.ParamError as exc:
-            raise ProblemFileError(str(exc), path, kentry.line, kentry.col) from exc
-        kernel = greens3.build_kernel(params)
+        kernel = greens3.build_kernel(kernel)
     else:
         if "kernel_dt" not in sec:
             raise ProblemFileError(
                 "an expression kernel needs kernel_dt", path, kentry.line, kentry.col
             )
-        kernel = KernelSpec.from_expressions(
-            _expr(kentry, KERNEL_VARS, path),
-            _expr(sec["kernel_dt"], KERNEL_VARS, path),
-        )
+        kernel = KernelSpec.from_expressions(kernel, values.pop("kernel_dt"))
         missing = [key for key in _ENVELOPE_KEYS if key not in sec]
         if missing:
             raise ProblemFileError(
@@ -247,11 +249,7 @@ def _build_component(sec: _Section, name: str, path: str) -> Component:
                 path, kentry.line,
             )
     # a green kernel's keys override its default envelope; an expression kernel has all
-    present = {
-        key: _expr(sec[key], ENVELOPE_VARS, path) if key in ("phi", "psi") else _const(sec[key], path)
-        for key in _ENVELOPE_KEYS
-        if key in sec
-    }
+    present = {key: values.pop(key) for key in _ENVELOPE_KEYS if key in values}
     try:
         if kernel.green is not None:
             envelope = dataclasses.replace(greens3.default_envelope(kernel.green), **present)
@@ -260,18 +258,9 @@ def _build_component(sec: _Section, name: str, path: str) -> Component:
     except ValueError as exc:  # an out-of-range value: at the first key it names, if given
         at = next((sec[w] for w in re.findall(r"\w+", str(exc)) if w in present), kentry)
         raise ProblemFileError(str(exc), path, at.line, at.col) from exc
-    hints = BoundHints(**{
-        key.removesuffix("_hint"): _expr(sec[key], HINT_VARS, path)
-        for key in _HINT_KEYS
-        if key in sec
-    })
-    return Component(
-        kernel=kernel,
-        envelope=envelope,
-        weight=_expr(sec["weight"], WEIGHT_VARS, path),
-        f=_expr(sec["f"], NONLIN_VARS, path),
-        hints=hints,
-    )
+    hints = BoundHints(**{key.removesuffix("_hint"): values.pop(key)
+                          for key in _HINT_KEYS if key in values})
+    return Component(kernel=kernel, envelope=envelope, hints=hints, **values)  # weight and f
 
 
 def _positive_int(entry: _Entry, path: str, minimum: int = 1, maximum: float = float("inf")) -> int:
@@ -301,8 +290,16 @@ def _choice(options: dict, message: str):
     return parse
 
 
-# each section's keys and the parser (entry, path) -> value of each, in reading order;
-# a component's keys are read by _build_component
+# each section's keys and the parser (entry, path) -> value of each, in reading order
+_COMPONENT_KEYS = {
+    "kernel": _kernel,
+    "kernel_dt": partial(_expr, variables=KERNEL_VARS),
+    **dict.fromkeys(("phi", "psi"), partial(_expr, variables=ENVELOPE_VARS)),
+    **dict.fromkeys(("a", "b", "c", "gamma", "delta", "d"), _const),
+    **dict.fromkeys(_HINT_KEYS, partial(_expr, variables=HINT_VARS)),
+    "weight": partial(_expr, variables=WEIGHT_VARS),
+    "f": partial(_expr, variables=NONLIN_VARS),
+}
 _SECTION_KEYS = {
     "component.1": _COMPONENT_KEYS,
     "component.2": _COMPONENT_KEYS,
@@ -342,8 +339,8 @@ def _values(sections: dict[str, _Section], name: str, path: str) -> dict:
 def load_problem(path: str) -> LoadedProblem:
     sections = _parse_sections(Path(path).read_text(), path)
     variant = _values(sections, "cone", path).get("variant", ConeVariant.SIGN_CHANGING)
-    comp1 = _build_component(sections["component.1"], "component.1", path)
-    comp2 = _build_component(sections["component.2"], "component.2", path)
+    comp1 = _build_component(sections, "component.1", path)
+    comp2 = _build_component(sections, "component.2", path)
 
     check_sec = sections.get("check", {})
     check = _values(sections, "check", path)
@@ -533,7 +530,7 @@ def _cmd_solve(loaded: LoadedProblem, args) -> tuple[int, dict]:
 def _cmd_green_check(loaded: LoadedProblem, args) -> tuple[int, dict]:
     all_pass = True
     sections = []
-    n_grid = args.grid if args.grid is not None else 2001
+    n_grid = args.grid if args.grid is not None else greens3.BVP_GRID
     ode_tol = args.tol if args.tol is not None else greens3.ODE_TOL
     greens3.check_bvp_grid(n_grid)
     for i, comp in enumerate(loaded.problem.components):

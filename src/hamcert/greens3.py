@@ -26,6 +26,7 @@ from .model import (
 from .quadopt import BLOCK_VALUES, MAX_AXIS_POINTS, integrate, integrate_rows
 
 
+BVP_GRID = 2001  # verify_bvp's default number of grid nodes, green-check's default --grid
 ODE_TOL = 1e-10  # verify_bvp's bound on |w - w_exact|: 100x quadopt.QUAD_TOL
 BC_TOL = 1e-8  # verify_bvp's bound on each boundary residual
 
@@ -201,7 +202,7 @@ def check_bvp_grid(n_grid: int) -> None:
         raise ValueError(f"n_grid must be between 101 and {MAX_AXIS_POINTS}")
 
 
-def verify_bvp(params: GreenParams, h: Expr, n_grid: int = 2001,
+def verify_bvp(params: GreenParams, h: Expr, n_grid: int = BVP_GRID,
                ode_tol: float = ODE_TOL) -> ResidualReport:
     """Check that w(t) = int k(t,s) h(s) ds solves the boundary problem.
 

@@ -3,7 +3,7 @@
 The integrator is a Gauss-Kronrod (7,15) pair with bisection refinement and
 caller-declared breakpoints, so piecewise-smooth integrands are split along
 their kinks before the first pass.  It integrates many rows t -> int f(t,s) ds
-at once, each row exactly as on its own.  The extremum search seeds a uniform
+in one first pass, each row as on its own.  The extremum search seeds a uniform
 grid and polishes the best bracket with golden-section iteration; it never
 returns a value worse than the best seed.  Box extrema are plain tensor-grid scans
 (corners included), run block by block in bounded memory, best-first when
@@ -133,13 +133,13 @@ def _panels_eval(fn, t: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return k15, np.maximum(np.abs(k15 - g7), 50.0 * np.finfo(float).eps * resabs)
 
 
-def _row_sums(x: np.ndarray, counts: np.ndarray, uniform: bool) -> np.ndarray:
+def _row_sums(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Each row's sum of its ``counts[r]`` consecutive entries, bit-identical to ``run.sum()``.
 
     Rows of equal count are summed as one (rows, count) array; np.add.reduceat
     would add sequentially and round differently.
     """
-    if uniform:
+    if len(counts) == 1 or counts.min() == counts.max():
         return x.reshape(len(counts), -1).sum(axis=1)
     out = np.empty(len(counts))
     starts = np.cumsum(counts) - counts
@@ -150,7 +150,7 @@ def _row_sums(x: np.ndarray, counts: np.ndarray, uniform: bool) -> np.ndarray:
 
 
 def _first_panels(ts: np.ndarray, lo: float, hi: float, breakpoints):
-    """Each row's panels between lo, its breakpoints and hi: row, t, lo, hi; count per row.
+    """Each row's panels between lo, its breakpoints and hi: t, lo, hi; count per row.
 
     A breakpoint is an edge if it lies inside (lo, hi) and more than 1e-15
     (relative, above 1) past the row's last edge.
@@ -162,7 +162,7 @@ def _first_panels(ts: np.ndarray, lo: float, hi: float, breakpoints):
             if b - edges[-1] > 1e-15 * max(1.0, abs(b)):
                 edges.append(b)
         edges, n = np.array(edges + [hi]), len(edges)
-        return np.zeros(n, dtype=int), ts.repeat(n), edges[:-1], edges[1:], np.array([n])
+        return ts.repeat(n), edges[:-1], edges[1:], np.array([n])
     bps = np.sort(np.asarray(bps, dtype=float).reshape(len(ts), -1), axis=1)
     edges = np.column_stack([np.full(len(ts), lo), bps, np.full(len(ts), hi)])
     keep = np.ones(edges.shape, dtype=bool)
@@ -174,7 +174,29 @@ def _first_panels(ts: np.ndarray, lo: float, hi: float, breakpoints):
     rows, edges = np.nonzero(keep)[0], edges[keep]
     inner = rows[1:] == rows[:-1]  # each edge but a row's last starts a panel
     row = rows[:-1][inner]
-    return row, ts[row], edges[:-1][inner], edges[1:][inner], np.count_nonzero(keep, axis=1) - 1
+    return ts[row], edges[:-1][inner], edges[1:][inner], np.count_nonzero(keep, axis=1) - 1
+
+
+def _refine(fn, t: float, lo: float, hi: float, a, b, vals, errs) -> tuple[float, float, int]:
+    """integrate's bisection of one row's panels [a, b]: its (value, error bound, panel count)."""
+    while True:
+        total = errs.sum()
+        if total <= QUAD_TOL:
+            return vals.sum(), total, len(a)
+        select = errs > 0.45 * QUAD_TOL * (b - a) / (hi - lo)
+        if not select.any():
+            select = errs == errs.max()
+        if not math.isfinite(total) or len(a) + np.count_nonzero(select) > MAX_PANELS:
+            raise QuadratureFailure(
+                f"subdivision cap {MAX_PANELS} reached (error {total:.3e} > tol {QUAD_TOL:.3e})"
+                if math.isfinite(total) else "non-finite panel value or error estimate",
+                float(vals.sum()), float(total), len(a),
+            )
+        mid = 0.5 * (a[select] + b[select])  # panels: kept, then left halves, then right halves
+        a = np.concatenate([a[~select], a[select], mid])
+        b = np.concatenate([b[~select], mid, b[select]])
+        new = _panels_eval(fn, np.full(2 * len(mid), t), a[-2 * len(mid):], b[-2 * len(mid):])
+        vals, errs = (np.concatenate([x[~select], y]) for x, y in zip((vals, errs), new))
 
 
 def integrate_rows(
@@ -189,11 +211,11 @@ def integrate_rows(
     ``fn`` gets a column of t values and an array of s nodes, a row of nodes
     per t; its result must broadcast to the nodes.  ``breakpoints`` holds a
     row per t of abscissas where the integrand may lose smoothness (NaN,
-    repeats and points outside (lo, hi) are ignored).  Each row runs
-    integrate's algorithm on its own panels and gets its (value, error
-    bound, panel count) bit for bit; all rows' new panels go through ``fn``
-    at once, at most BLOCK_VALUES / 4 nodes per call.  Raises the
-    QuadratureFailure of the first failing row.
+    repeats and points outside (lo, hi) are ignored).  All rows' first panels
+    go through ``fn`` at once, at most BLOCK_VALUES / 4 nodes per call; each
+    row left above the tolerance is then bisected on its own, in row order.
+    Each row gets integrate's (value, error bound, panel count) bit for bit.
+    Raises the QuadratureFailure of the first failing row.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise ValueError(f"bad integration interval [{lo}, {hi}]")
@@ -201,51 +223,17 @@ def integrate_rows(
     if lo == hi or not len(ts):
         return np.zeros(len(ts)), np.zeros(len(ts)), np.ones(len(ts), dtype=int)
 
-    row, t_arr, lo_arr, hi_arr, counts = _first_panels(ts, lo, hi, breakpoints)
+    t_arr, lo_arr, hi_arr, counts = _first_panels(ts, lo, hi, breakpoints)
     vals, errs = _panels_eval(fn, t_arr, lo_arr, hi_arr)
-    panel = None
-    live = np.ones(len(ts), dtype=bool)  # the rows still refining; a finished row keeps its panels
-    while True:
-        uniform = len(counts) == 1 or counts.min() == counts.max()
-        total_err = _row_sums(errs, counts, uniform)
-        if total_err.max() <= QUAD_TOL:  # every row is done (NaN is never below it)
-            return _row_sums(vals, counts, uniform), total_err, counts
-        live &= ~(total_err <= QUAD_TOL)
-        select = errs > 0.45 * QUAD_TOL * (hi_arr - lo_arr) / (hi - lo)
-        n_sel = np.bincount(row[select], minlength=len(counts))
-        if not n_sel.all():  # such a row splits its panels of largest error
-            top = np.maximum.reduceat(errs, np.cumsum(counts) - counts)
-            select |= (n_sel == 0)[row] & (errs == top[row])
-            n_sel = np.bincount(row[select], minlength=len(counts))
-        # a stuck row (a panel not finite, or the cap reached) and all later rows stop
-        stuck = live & ~(np.isfinite(total_err) & (counts + n_sel <= MAX_PANELS))
-        live &= ~np.logical_or.accumulate(stuck)
-        if not live.any():
-            break
-        split = select & live[row]
-        counts = counts + n_sel * live
-        if panel is None:  # one column per panel: t, lo, hi, value, error
-            panel = np.array([t_arr, lo_arr, hi_arr, vals, errs])
-        left = panel.compress(split, axis=1)
-        right = left.copy()
-        left[2] = right[1] = 0.5 * (left[1] + left[2])
-        sub = np.concatenate([left, right], axis=1)
-        sub[3], sub[4] = _panels_eval(fn, sub[0], sub[1], sub[2])
-        # each row's panels in the one-row order: kept, then left halves, then right halves
-        panel = np.concatenate([panel.compress(~split, axis=1), sub], axis=1)
-        row = np.concatenate([row[~split], row[split], row[split]])
-        order = np.argsort(row, kind="stable")
-        panel, row = panel[:, order], row[order]
-        t_arr, lo_arr, hi_arr, vals, errs = panel
-    # every row before the first failing one refined until it was done
-    first = int(np.argmin(total_err <= QUAD_TOL))
-    raise QuadratureFailure(
-        f"subdivision cap {MAX_PANELS} reached (error {total_err[first]:.3e} > tol {QUAD_TOL:.3e})"
-        if np.isfinite(total_err[first]) else "non-finite panel value or error estimate",
-        float(_row_sums(vals, counts, uniform)[first]),
-        float(total_err[first]),
-        int(counts[first]),
-    )
+    values, total_err = _row_sums(vals, counts), _row_sums(errs, counts)
+    if total_err.max() <= QUAD_TOL:  # every row is done (NaN is never below it)
+        return values, total_err, counts
+    starts = np.cumsum(counts) - counts
+    for r in np.flatnonzero(~(total_err <= QUAD_TOL)):
+        run = slice(starts[r], starts[r] + counts[r])
+        values[r], total_err[r], counts[r] = _refine(
+            fn, ts[r], lo, hi, lo_arr[run], hi_arr[run], vals[run], errs[run])
+    return values, total_err, counts
 
 
 def integrate(

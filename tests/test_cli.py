@@ -13,7 +13,9 @@ import pytest
 
 import hamcert
 from hamcert import conditions, exprlang, greens3, quadopt, solver
-from hamcert.cli import CheckConfig, ProblemFileError, SolverConfig, load_problem, main
+from hamcert.cli import (
+    _COMPONENT_KEYS, CheckConfig, ProblemFileError, SolverConfig, load_problem, main,
+)
 from hamcert.conditions import Scenario
 from hamcert.model import ConeVariant
 
@@ -129,6 +131,17 @@ def test_a_missing_key_is_reported_at_its_section_header(tmp_path, sign_text, ca
     assert capsys.readouterr().err == (
         f"error: {path}:{line}:1: [component.{component}] is missing '{key}'\n"
     )
+
+
+@pytest.mark.parametrize("key", list(_COMPONENT_KEYS))
+def test_a_bad_component_value_is_reported_at_its_key(tmp_path, sign_text, capsys, key):
+    lines = sign_text.splitlines()
+    at = next(i for i in range(lines.index("[component.2]"), len(lines))
+              if lines[i].startswith(f"{key} = "))
+    lines[at] = f"  {key} = 1 +"  # indented, so that the column is the key's own
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["constants", path]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}:{at + 1}:3: ")
 
 
 @pytest.mark.parametrize("new,line,fragment", [

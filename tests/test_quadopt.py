@@ -391,6 +391,21 @@ def test_rows_refine_to_different_panel_counts():
     assert len({panels for _, _, panels in rows}) > 1
 
 
+def test_rows_left_above_the_tolerance_refine_one_at_a_time():
+    ts = []
+
+    def fn(t, s):
+        ts.append(np.unique(t))
+        return np.sqrt(np.abs(s - t))
+
+    rows = quadopt.integrate_rows(fn, [0.2, 0.7], 0.0, 1.0)
+    assert ts[0].tolist() == [0.2, 0.7] and len(ts) > 2  # the first pass, then refinement
+    assert all(len(t) == 1 for t in ts[1:])
+    for t, *row in zip([0.2, 0.7], *(x.tolist() for x in rows)):
+        one = integrate(lambda s: np.sqrt(np.abs(s - t)), 0.0, 1.0)
+        assert row[2] > 1 and repr(row) == repr([one.value, one.error_bound, one.subdivisions])
+
+
 def test_a_non_finite_row_raises_its_one_row_failure():
     # t = 0.7 and 0.9 fail in the first round, on two panels and on one
     fn = lambda t, s: np.where((t > 0.5) & (s > 0.3), np.inf, 1.0 + t * s)

@@ -24,8 +24,8 @@ it, the stdout and stderr lines that differ (``-`` at REF, ``+`` here, no
 context), and for a JSON report that differs every leaf that moved (path,
 value at REF, value here and, for a number, the relative change), every key
 that only one report has and every list whose length changed.  Then prints the
-``wc -l`` total of ``src/hamcert/*.py`` in both trees; exits 1 if any run
-differs, else 0.
+``wc -l`` total of ``src/hamcert/*.py`` in both trees and, under it, each
+module's count at REF and here; exits 1 if any run differs, else 0.
 
 With ``--rounds K``, each run is then timed K more times in each tree, in a
 fresh process each time, REF first in every other pair.  Wall time, CPU time
@@ -171,9 +171,9 @@ def derived_runs(out_dir: Path) -> list[list[str]]:
             ["constants", tree], ["solve", tree]]
 
 
-def source_lines(tree: Path) -> int:
-    """``wc -l src/hamcert/*.py`` in ``tree``: the total count of newlines."""
-    return sum(path.read_bytes().count(b"\n") for path in (tree / "src/hamcert").glob("*.py"))
+def source_lines(tree: Path) -> dict[str, int]:
+    """``wc -l src/hamcert/*.py`` in ``tree``: each module's count of newlines by file name."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (tree / "src/hamcert").glob("*.py")}
 
 
 def print_timings(runs: list[list[str]], ref_name: str, ref: list, here: list) -> None:
@@ -226,8 +226,12 @@ def main(argv: list[str]) -> int:
                     for line in moved_leaves(a[3], b[3]):
                         print(line)
         print(f"{differ} of {len(runs)} runs differ from {args.ref}")
-        print(f"wc -l src/hamcert/*.py: {source_lines(ref)} at {args.ref}, "
-              f"{source_lines(here)} here")
+        counts = source_lines(ref), source_lines(here)
+        print(f"wc -l src/hamcert/*.py: {sum(counts[0].values())} at {args.ref}, "
+              f"{sum(counts[1].values())} here")
+        for name in sorted(counts[0].keys() | counts[1].keys()):  # 0 where a tree lacks it
+            old, new = (count.get(name, 0) for count in counts)
+            print(f"  {old:6d} {new:6d}  {name}" + (f"  ({new - old:+d})" if old != new else ""))
         if args.rounds > 0:
             samples = {ref: [[] for _ in runs], here: [[] for _ in runs]}
             for k in range(args.rounds):
